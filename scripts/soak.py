@@ -12,9 +12,9 @@ control plane and seeded chaos kills workers mid-flight.  Four phases:
 * **churn**  — queries + live events; measures journal fan-out
   (convergence lag: event ack → every worker's scoreboard row at the
   journal tail) on an otherwise healthy fleet.
-* **chaos**  — churn plus a seeded worker-SIGKILL schedule and an
-  injected-latency fault plan; respawned workers must replay the
-  journal before readmission, so convergence keeps holding.
+* **chaos**  — churn plus a seeded worker-SIGKILL schedule;
+  respawned workers must replay the journal before readmission, so
+  convergence keeps holding.
 * **drain**  — traffic continues while the supervisor SIGTERM-drains:
   zero connection resets allowed, workers exit 0.
 
@@ -22,6 +22,13 @@ After the chaos phase the harness quiesces and compares a sample of
 worker answers byte-for-byte against the supervisor's own reference
 engine on the control port (cache disabled there) — the zero-stale
 oracle.  Any mismatch, reset, or non-converged worker fails the run.
+
+The fleet carries one injected-latency fault rule for its whole life,
+not only in the chaos phase: ``planner.query`` sleeps
+``min(0.05, deadline / 4)`` s with probability 0.05.  One request in
+twenty is therefore ~50 ms late in *every* phase, which is what each
+phase's p99 shows (the injected delay plus one request); the rule is
+recorded in the entry as ``fault_rule``.
 
 Per-phase p50/p99 latency and SLO attainment (fraction of requests
 answered 200 within the deadline budget) land in a trajectory entry
@@ -250,17 +257,13 @@ def run_soak(args) -> int:
         cache_size=args.cache_size,
         drain_grace_s=args.drain_grace,
     )
-    fault_plan = FaultPlan(
-        rules=[
-            FaultRule(
-                site="planner.query",
-                kind="latency",
-                seconds=min(0.05, deadline_s / 4),
-                probability=0.05,
-            )
-        ],
-        seed=args.seed,
+    fault_rule = FaultRule(
+        site="planner.query",
+        kind="latency",
+        seconds=min(0.05, deadline_s / 4),
+        probability=0.05,
     )
+    fault_plan = FaultPlan(rules=[fault_rule], seed=args.seed)
     journal_path = args.journal or tempfile.mktemp(
         prefix="repro-soak-", suffix=".wal"
     )
@@ -428,6 +431,11 @@ def run_soak(args) -> int:
         "duration_s": args.duration,
         "seed": args.seed,
         "deadline_ms": args.deadline_ms,
+        "fault_rule": {
+            "site": fault_rule.site,
+            "seconds": fault_rule.seconds,
+            "probability": fault_rule.probability,
+        },
         "phases": phases,
         "events": len(convergence_lags),
         "kills": kills,

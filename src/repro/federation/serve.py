@@ -35,9 +35,7 @@ import signal
 import socket
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple
-from urllib.parse import parse_qs, urlparse
+from typing import Dict, List, Optional
 
 from repro.algorithms.profiles import ParetoProfile
 from repro.core.order import graph_digest
@@ -51,6 +49,14 @@ from repro.federation.stitch import FederatedPlanner, load_federation
 from repro.graph.timetable import TimetableGraph
 from repro.journey import Journey
 from repro.resilience import FaultPlan, ResilienceConfig
+from repro.serving.http import (
+    HttpServer,
+    Request,
+    Response,
+    error_body,
+    error_response,
+    json_response,
+)
 from repro.serving.scoreboard import Scoreboard
 from repro.serving.supervisor import ServingSupervisor
 from repro.timeutil import INF, NEG_INF
@@ -226,6 +232,7 @@ def _federation_worker_main(
     signal.signal(signal.SIGTERM, lambda signum, frame: drain.set())
 
     service.start(sock=sock, warm=True)
+    service.publish_counters()
     try:
         while not drain.wait(timeout=heartbeat_interval_s):
             service.publish_counters()
@@ -286,8 +293,7 @@ class FederationSupervisor(ServingSupervisor):
         #: region → bound worker port (stable across respawns).
         self.worker_ports: Dict[int, int] = {}
         self._region_socks: Dict[int, socket.socket] = {}
-        self._router: Optional[ThreadingHTTPServer] = None
-        self._router_thread: Optional[threading.Thread] = None
+        self._router: Optional[HttpServer] = None
         #: Router-side federation counters (served in /v1/metrics).
         self.router_stats = {
             "intra_proxied": 0,
@@ -318,34 +324,35 @@ class FederationSupervisor(ServingSupervisor):
             target=self._monitor_loop, daemon=True
         )
         self._monitor.start()
-        self._router = ThreadingHTTPServer(
-            (self.host, self.port), _make_router_handler(self)
+        config = self.resilience or ResilienceConfig()
+        self._router = HttpServer(
+            _make_router_handler(self),
+            host=self.host,
+            port=self.port,
+            max_body_bytes=config.max_body_bytes,
         )
-        self._router.daemon_threads = True
-        self.port = self._router.server_address[1]
-        self._router_thread = threading.Thread(
-            target=self._router.serve_forever, daemon=True
-        )
-        self._router_thread.start()
+        self.port = self._router.start()
         return self.port
 
     def stop(self) -> None:
+        self._stop_router()
         super().stop()
-        self._close_router()
+        self._close_region_socks()
 
     def drain(self, grace_s: float = 5.0) -> bool:
+        self._stop_router()
         clean = super().drain(grace_s)
-        self._close_router()
+        self._close_region_socks()
         return clean
 
-    def _close_router(self) -> None:
+    def _stop_router(self) -> None:
+        """Router first: its in-flight requests are answered while the
+        region workers they fan out to are still alive."""
         if self._router is not None:
-            self._router.shutdown()
-            self._router.server_close()
+            self._router.stop()
             self._router = None
-        if self._router_thread is not None:
-            self._router_thread.join(timeout=5)
-            self._router_thread = None
+
+    def _close_region_socks(self) -> None:
         for sock in self._region_socks.values():
             sock.close()
         self._region_socks.clear()
@@ -419,7 +426,7 @@ class FederationSupervisor(ServingSupervisor):
         finally:
             conn.close()
 
-    def proxy(self, region: int, path: str) -> Tuple[int, bytes, str]:
+    def proxy(self, region: int, path: str) -> Response:
         """Forward one GET verbatim to a region worker."""
         self.bump("subrequests")
         conn = http.client.HTTPConnection(
@@ -430,11 +437,7 @@ class FederationSupervisor(ServingSupervisor):
         try:
             conn.request("GET", path)
             response = conn.getresponse()
-            return (
-                response.status,
-                response.read(),
-                response.getheader("Content-Type", "application/json"),
-            )
+            return response.status, {}, response.read()
         except (OSError, http.client.HTTPException) as exc:
             raise ServiceNotReady(
                 f"region {region} worker unreachable: {exc}"
@@ -551,78 +554,32 @@ class FederationSupervisor(ServingSupervisor):
 
 
 def _make_router_handler(sup: FederationSupervisor):
-    from repro.service import (
-        _error_body,
-        _int_param,
-        _retry_after,
-        _split_api_version,
-    )
+    from repro.service import _int_param, _split_api_version
 
     manifest = sup.manifest
     graph = sup.graph
     config = sup.resilience or ResilienceConfig()
 
-    class RouterHandler(BaseHTTPRequestHandler):
-        def log_message(self, *_args) -> None:
-            return
-
-        def send_error(  # noqa: N802 (http.server API)
-            self, code, message=None, explain=None
-        ) -> None:
-            if message is None:
-                message = self.responses.get(code, ("error",))[0]
-            self._send(code, _error_body(message))
-
-        def do_GET(self) -> None:  # noqa: N802 (http.server API)
-            parsed = urlparse(self.path)
-            params = {
-                key: values[0]
-                for key, values in parse_qs(parsed.query).items()
-            }
-            versioned, path = _split_api_version(parsed.path)
-            self._dispatch(
-                versioned, lambda: self._route_get(path, params, versioned)
-            )
-
-        def do_POST(self) -> None:  # noqa: N802 (http.server API)
-            parsed = urlparse(self.path)
-            versioned, path = _split_api_version(parsed.path)
-            self._dispatch(
-                versioned, lambda: self._route_post(path, versioned)
-            )
-
-        def _dispatch(self, versioned: bool, route) -> None:
+    class RouterHandler:
+        def handle(self, request: Request) -> Response:
+            versioned, path = _split_api_version(request.path)
             started = time.perf_counter()
             try:
-                body = route()
+                if request.method == "GET":
+                    body = self._route_get(request, path)
+                else:
+                    body = self._route_post(request, path, versioned)
             except ServiceNotReady as exc:
-                self._send(
-                    503,
-                    _error_body(exc),
-                    headers={
-                        "Retry-After": _retry_after(config.retry_after_s)
-                    },
-                )
-                return
-            except RequestValidationError as exc:
-                self._send(400, _error_body(exc))
-                return
-            except (FederationError, KeyError, ValueError) as exc:
-                self._send(400, _error_body(exc))
-                return
+                exc.retry_after = config.retry_after_s
+                return error_response(exc)
             except Exception as exc:  # never kill the router thread
-                self._send(
-                    500,
-                    _error_body(
-                        f"internal error: {exc.__class__.__name__}: {exc}"
-                    ),
-                )
-                return
+                return error_response(exc)
             if body is None:
-                self._send(404, _error_body(f"unknown path: {self.path}"))
-                return
-            if body is _PROXIED:
-                return  # response already written verbatim
+                return json_response(
+                    404, error_body(f"unknown path: {request.target}")
+                )
+            if isinstance(body, tuple):
+                return body  # a worker's response, proxied verbatim
             headers = None
             if versioned:
                 body = {
@@ -639,11 +596,12 @@ def _make_router_handler(sup: FederationSupervisor):
                 }
             else:
                 headers = {"Deprecation": "true"}
-            self._send(200, body, headers=headers)
+            return json_response(200, body, headers)
 
         # --------------------------------------------------------------
 
-        def _route_get(self, path: str, params: dict, versioned: bool):
+        def _route_get(self, request: Request, path: str):
+            params = request.params
             if path == "/healthz":
                 return self._healthz()
             if path == "/healthz/live":
@@ -673,7 +631,7 @@ def _make_router_handler(sup: FederationSupervisor):
                 t = _int_param(params, "t")
                 region_u = manifest.stop_region(u)
                 if region_u == manifest.stop_region(v):
-                    return self._proxy_intra(region_u)
+                    return self._proxy_intra(region_u, request)
                 sup.bump("cross_stitched")
                 journey = (
                     sup.cross_eap(u, v, t)
@@ -688,40 +646,23 @@ def _make_router_handler(sup: FederationSupervisor):
                 t_end = _int_param(params, "t_end")
                 region_u = manifest.stop_region(u)
                 if region_u == manifest.stop_region(v):
-                    return self._proxy_intra(region_u)
+                    return self._proxy_intra(region_u, request)
                 sup.bump("cross_stitched")
                 if path == "/sdp":
                     return {"journey": sup.cross_sdp(u, v, t, t_end)}
                 return {"pairs": sup.cross_profile(u, v, t, t_end)}
             return None
 
-        def _route_post(self, path: str, versioned: bool):
+        def _route_post(self, request: Request, path: str, versioned: bool):
             if path != "/batch" or not versioned:
                 return None
-            raw_length = int(self.headers.get("Content-Length", 0) or 0)
-            raw = self.rfile.read(raw_length) if raw_length else b""
-            try:
-                body = json.loads(raw) if raw else {}
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"malformed JSON body: {exc}") from exc
-            if not isinstance(body, dict):
-                raise ValueError("JSON body must be an object")
-            return self._batch(body)
+            return self._batch(request.json_body())
 
-        def _proxy_intra(self, region: int):
+        def _proxy_intra(self, region: int, request: Request) -> Response:
             """Forward the original request whole to the owning worker
             — the single-hop intra-region path."""
             sup.bump("intra_proxied")
-            status, payload, content_type = sup.proxy(region, self.path)
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            try:
-                self.wfile.write(payload)
-            except (BrokenPipeError, ConnectionResetError):
-                pass
-            return _PROXIED
+            return sup.proxy(region, request.target)
 
         def _healthz(self) -> dict:
             rows = {
@@ -835,27 +776,4 @@ def _make_router_handler(sup: FederationSupervisor):
                 "stations": [station for _, station in reachable],
             }
 
-        def _send(
-            self,
-            status: int,
-            body: dict,
-            headers: Optional[Dict[str, str]] = None,
-        ) -> None:
-            try:
-                payload = json.dumps(body).encode()
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(payload)))
-                if headers:
-                    for key, value in headers.items():
-                        self.send_header(key, value)
-                self.end_headers()
-                self.wfile.write(payload)
-            except (BrokenPipeError, ConnectionResetError):
-                pass
-
-    return RouterHandler
-
-
-#: Sentinel: the handler already streamed a proxied response.
-_PROXIED = object()
+    return RouterHandler().handle

@@ -80,6 +80,7 @@ status meaning
 404    unknown path
 413    request body larger than the configured cap
 429    shed by admission control (``Retry-After`` header)
+431    request line plus headers exceed 64 KiB
 500    unexpected internal error (JSON body; the handler thread
        survives)
 501    unsupported HTTP method
@@ -100,16 +101,11 @@ import os
 import socket
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional
 
 from repro.core.batch import batch_plan
 from repro.errors import (
     ConflictError,
-    DeadlineExceeded,
-    FaultInjected,
-    Overloaded,
-    PayloadTooLarge,
     ReproError,
     RequestValidationError,
     ServiceNotReady,
@@ -125,7 +121,14 @@ from repro.resilience import (
     ResilienceConfig,
     ResilientExecutor,
 )
-from urllib.parse import parse_qs, urlparse
+from repro.serving.http import (
+    HttpServer,
+    Request,
+    Response,
+    error_body,
+    error_response,
+    json_response,
+)
 
 
 class PlannerService:
@@ -240,8 +243,7 @@ class PlannerService:
             self.executor.breaker = self.executor.make_breaker()
         self._ready = threading.Event()
         self._warm_error: Optional[str] = None
-        self._server: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
+        self._server: Optional[HttpServer] = None
         self._warm_thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
@@ -272,29 +274,20 @@ class PlannerService:
         """
         if warm:
             self._warm_up()
-        handler = _make_handler(self)
-        if sock is not None:
-            self._server = _adopt_socket(handler, sock)
-        else:
-            self._server = ThreadingHTTPServer((host, port), handler)
-        # Non-daemon handler threads: ThreadingMixIn only *tracks*
-        # (and so server_close() only joins) non-daemon threads.  This
-        # is what makes stop() a graceful drain — an accepted request
-        # always gets its response before the listener's fd dies, the
-        # guarantee the supervisor's SIGTERM drain path is built on.
-        # The bound comes from per-request deadlines plus the
-        # supervisor's SIGKILL escalation, not from abandoning work.
-        self._server.daemon_threads = False
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True
+        self._server = HttpServer(
+            _make_handler(self),
+            sock=sock,
+            host=host,
+            port=port,
+            max_body_bytes=self.config.max_body_bytes,
         )
-        self._thread.start()
+        self._server.start()
         if not warm:
             self._warm_thread = threading.Thread(
                 target=self._warm_up, daemon=True
             )
             self._warm_thread.start()
-        return self._server.server_address[1]
+        return self._server.port
 
     def _warm_up(self) -> None:
         try:
@@ -440,14 +433,13 @@ class PlannerService:
             )
 
     def stop(self) -> None:
-        """Shut the server down and join the threads."""
+        """Shut the server down — a graceful drain: every accepted
+        request gets its response first (bounded by per-request
+        deadlines plus the supervisor's SIGKILL escalation, not by
+        abandoning work) — and join the threads."""
         if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
+            self._server.stop()
             self._server = None
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
         if self._warm_thread is not None:
             self._warm_thread.join(timeout=5)
             self._warm_thread = None
@@ -501,94 +493,29 @@ def _make_handler(service: PlannerService):
     scoreboard = service.scoreboard
     cache = service.cache
 
-    class Handler(BaseHTTPRequestHandler):
-        def log_message(self, *_args) -> None:  # silence request logs
-            return
-
-        def send_error(  # noqa: N802 (http.server API)
-            self, code, message=None, explain=None
-        ) -> None:
-            # The base class renders HTML error pages (e.g. 501 for
-            # unsupported methods); keep the API JSON end to end.
-            if message is None:
-                message = self.responses.get(code, ("error",))[0]
-            self._send(code, _error_body(message))
-
-        def do_GET(self) -> None:  # noqa: N802 (http.server API)
-            parsed = urlparse(self.path)
-            params = {
-                key: values[0]
-                for key, values in parse_qs(parsed.query).items()
-            }
-            versioned, path = _split_api_version(parsed.path)
-            self._dispatch(
-                versioned, path, lambda: self._route_get(path, params)
-            )
-
-        def do_POST(self) -> None:  # noqa: N802 (http.server API)
-            parsed = urlparse(self.path)
-            versioned, path = _split_api_version(parsed.path)
-            self._dispatch(
-                versioned,
-                path,
-                lambda: self._route_post(
-                    path, self._read_body(), versioned
-                ),
-            )
-
-        def _dispatch(self, versioned: bool, path: str, route) -> None:
+    class Handler:
+        def handle(self, request: Request) -> Response:
+            versioned, path = _split_api_version(request.path)
             started = time.perf_counter()
             service.requests_handled += 1
             try:
-                body = route()
-            except Overloaded as exc:
-                self._send(
-                    429,
-                    _error_body(exc),
-                    headers={"Retry-After": _retry_after(exc.retry_after)},
-                )
-                return
+                if request.method == "GET":
+                    body = self._route_get(path, request.params)
+                else:
+                    body = self._route_post(
+                        path, request.json_body(), versioned
+                    )
             except ServiceNotReady as exc:
-                body = _error_body(exc)
                 build = self._build_progress()
-                if build is not None:
-                    body["build"] = build
-                self._send(
-                    503,
-                    body,
-                    headers={"Retry-After": _retry_after(exc.retry_after)},
+                return error_response(
+                    exc, extra=None if build is None else {"build": build}
                 )
-                return
-            except DeadlineExceeded as exc:
-                self._send(504, _error_body(exc))
-                return
-            except PayloadTooLarge as exc:
-                self._send(413, _error_body(exc))
-                return
-            except RequestValidationError as exc:
-                self._send(400, _error_body(exc))
-                return
-            except ConflictError as exc:
-                self._send(409, _error_body(exc))
-                return
-            except FaultInjected as exc:
-                self._send(500, _error_body(f"internal error: {exc}"))
-                return
-            except (ReproError, KeyError, ValueError) as exc:
-                self._send(400, _error_body(exc))
-                return
             except Exception as exc:  # never kill the handler thread
-                self._send(
-                    500,
-                    _error_body(
-                        "internal error: "
-                        f"{exc.__class__.__name__}: {exc}"
-                    ),
-                )
-                return
+                return error_response(exc)
             if body is None:
-                self._send(404, _error_body(f"unknown path: {self.path}"))
-                return
+                return json_response(
+                    404, error_body(f"unknown path: {request.target}")
+                )
             headers = None
             if versioned:
                 degraded = False
@@ -609,51 +536,7 @@ def _make_handler(service: PlannerService):
                 # tells clients to move to /v1 (docs/api.md has the
                 # migration table).
                 headers = {"Deprecation": "true"}
-            self._send(200, body, headers=headers)
-
-        def _read_body(self) -> dict:
-            raw_length = self.headers.get("Content-Length", 0) or 0
-            try:
-                length = int(raw_length)
-            except (TypeError, ValueError):
-                raise RequestValidationError(
-                    f"invalid Content-Length: {raw_length!r}",
-                    field="Content-Length",
-                ) from None
-            if length < 0:
-                raise RequestValidationError(
-                    f"invalid Content-Length: {raw_length!r}",
-                    field="Content-Length",
-                )
-            if length > config.max_body_bytes:
-                self._discard_body(length)
-                raise PayloadTooLarge(
-                    f"request body of {length} bytes exceeds the "
-                    f"{config.max_body_bytes} byte limit"
-                )
-            raw = self.rfile.read(length) if length else b""
-            if not raw:
-                return {}
-            try:
-                data = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"malformed JSON body: {exc}") from exc
-            if not isinstance(data, dict):
-                raise ValueError("JSON body must be an object")
-            return data
-
-        def _discard_body(self, length: int) -> None:
-            """Drain an oversized request body (bounded) before the
-            413 goes out, so a client mid-upload finishes its write and
-            reads the response instead of dying on EPIPE.  Bodies
-            beyond the drain bound just get the connection closed."""
-            remaining = min(length, 4 * config.max_body_bytes)
-            while remaining > 0:
-                chunk = self.rfile.read(min(65536, remaining))
-                if not chunk:
-                    break
-                remaining -= len(chunk)
-            self.close_connection = True
+            return json_response(200, body, headers)
 
         # --------------------------------------------------------------
 
@@ -1121,31 +1004,7 @@ def _make_handler(service: PlannerService):
                 return None
             return service.journal.append(record)
 
-        def _send(
-            self,
-            status: int,
-            body: dict,
-            headers: Optional[Dict[str, str]] = None,
-        ) -> None:
-            try:
-                payload = json.dumps(body).encode()
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(payload)))
-                if headers:
-                    for key, value in headers.items():
-                        self.send_header(key, value)
-                self.end_headers()
-                self.wfile.write(payload)
-            except (BrokenPipeError, ConnectionResetError):
-                pass  # client went away; nothing to salvage
-
-    return Handler
-
-
-def _retry_after(seconds: float) -> str:
-    """Retry-After wants whole seconds; round up, floor at 1."""
-    return str(max(1, int(seconds + 0.999)))
+    return Handler().handle
 
 
 def _split_api_version(path: str):
@@ -1155,21 +1014,6 @@ def _split_api_version(path: str):
     if path.startswith("/v1/"):
         return True, path[3:]
     return False, path
-
-
-def _error_body(error) -> dict:
-    """The one error shape every response uses.
-
-    ``error`` is an exception or a plain message; ``field`` and
-    ``hint`` come from the exception when it carries them
-    (``RequestValidationError.field``, ``ReproError.hint``) and are
-    ``null`` otherwise — clients can always read all three keys.
-    """
-    return {
-        "error": str(error),
-        "field": getattr(error, "field", None),
-        "hint": getattr(error, "hint", None),
-    }
 
 
 def _int_list_field(body: dict, name: str) -> list:
@@ -1217,42 +1061,3 @@ def _batch_result_body(query: BatchQuery, answer) -> dict:
         "budget": query.budget,
         "stations": answer,
     }
-
-
-class _SharedSocketServer(ThreadingHTTPServer):
-    """A ThreadingHTTPServer over an inherited listening socket.
-
-    The prefork supervisor's listener is non-blocking (every worker
-    polls it; a blocking ``accept()`` would make lost wake-ups hang a
-    worker), and on some platforms accepted connections inherit that —
-    so ``get_request`` pins each accepted connection back to blocking
-    before the handler reads from it.
-    """
-
-    def get_request(self):
-        request, client_address = self.socket.accept()
-        request.setblocking(True)
-        return request, client_address
-
-
-def _adopt_socket(
-    handler, sock: socket.socket
-) -> ThreadingHTTPServer:
-    """Build a server that accepts on ``sock`` instead of binding.
-
-    ``bind_and_activate=False`` keeps the constructor from binding a
-    fresh socket; the placeholder it created anyway is closed and
-    replaced with the shared one.  ``server_bind``/``server_activate``
-    are deliberately not called — the supervisor already bound and
-    listened — so server identity fields are filled in by hand.
-    """
-    host, port = sock.getsockname()[:2]
-    server = _SharedSocketServer(
-        (host, port), handler, bind_and_activate=False
-    )
-    server.socket.close()
-    server.socket = sock
-    server.server_address = (host, port)
-    server.server_name = host
-    server.server_port = port
-    return server

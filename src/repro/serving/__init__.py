@@ -17,6 +17,8 @@ serving shape, where the label file is an immutable shared artifact.
   :class:`~repro.service.PlannerService`, publish forever.
 * :class:`~repro.serving.supervisor.ServingSupervisor` — binds, forks,
   monitors, respawns.
+* :class:`~repro.serving.http.HttpServer` — the one HTTP transport
+  under every listener (reused accept threads, one write per response).
 * :class:`~repro.serving.cache.AnswerCache` — per-worker hot-pair
   answer cache with taint-driven invalidation (``serve --cache-size``;
   see docs/serving.md).

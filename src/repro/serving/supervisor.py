@@ -112,9 +112,7 @@ class ServingSupervisor:
         sock.bind((self.host, self.port))
         sock.listen(128)
         # Non-blocking so a worker that loses an accept race gets
-        # EAGAIN instead of hanging (socketserver swallows the OSError
-        # and re-polls).  Workers re-pin accepted connections to
-        # blocking; see _SharedSocketServer.
+        # EAGAIN instead of hanging (HttpServer re-polls).
         sock.setblocking(False)
         self._sock = sock
         self.port = sock.getsockname()[1]
@@ -146,7 +144,7 @@ class ServingSupervisor:
     def drain(self, grace_s: float = 5.0) -> bool:
         """Graceful shutdown: SIGTERM every worker and give each up to
         ``grace_s`` to finish its in-flight requests (the worker closes
-        its listener, joins handler threads via ``block_on_close``, and
+        its listener, joins its handler threads, and
         exits 0).  Stragglers past the grace window are SIGKILLed.
         The journal is fsync'd and closed last, so every acknowledged
         mutation is durable at exit.  Returns True iff every worker

@@ -148,6 +148,9 @@ def worker_main(
             wait_for=service._ready,
         )
         service.journal_follower.start()
+    # First heartbeat at ready, not one interval later: wait_ready (and
+    # the monitor after a respawn) sees this worker at once.
+    service.publish_counters()
     try:
         while not drain.wait(timeout=heartbeat_interval_s):
             service.publish_counters()
@@ -155,10 +158,10 @@ def worker_main(
         # Ctrl-C hits the whole foreground process group; exit quietly
         # and let the supervisor's shutdown own the terminal.
         return
-    # Graceful drain: close the listener and join in-flight handler
-    # threads (service.stop() blocks on them via block_on_close), stop
-    # the follower, then publish one last counter snapshot so the
-    # supervisor's retire() folds a complete total.
+    # Graceful drain: stop the follower, close the listener and join
+    # in-flight handler threads (service.stop() blocks on them), then
+    # publish one last counter snapshot so the supervisor's retire()
+    # folds a complete total.
     if service.journal_follower is not None:
         service.journal_follower.stop()
     service.stop()
