@@ -7,12 +7,11 @@ structural expectation: index-based TTL has a *tight* distribution
 (every query is one bounded label merge) while scan-based CSA's tail
 stretches with the window length.
 
-Also measured here: the *resilience tax* — the full serving pipeline
-(HTTP + deadline + admission gate) with resilience enabled vs. the
-bare pre-resilience pipeline (``ResilienceConfig(enabled=False)``),
-interleaved request-for-request against two services wrapping the
-same planner so clock drift cancels.  The acceptance bar: enabled
-adds under 5% to the EAP median.
+Also reported here: EAP percentiles over HTTP through the full
+serving pipeline (transport + admission gate + deadline).  What the
+gate and deadline themselves cost is priced by the ledger's
+``resilience.executor_us`` (``ResilientExecutor.run(plan)`` minus the
+bare ``plan``, measured from outside; see benchmarks/ledger/README.md).
 """
 
 import http.client
@@ -66,52 +65,32 @@ def _http_get(conn, path):
 
 
 def _measure_resilience_overhead(min_samples=400, warmup=50):
-    """Interleaved EAP requests against resilience-on/off services."""
-    from repro.resilience import ResilienceConfig
+    """EAP requests against a service with the default pipeline."""
     from repro.service import PlannerService
 
-    planner = CACHE.planner(DATASET, "TTL")
     queries = CACHE.queries(DATASET)
     reps = max(1, -(-min_samples // len(queries)))  # ceil division
-    services = {}
-    connections = {}
-    samples = {"off": [], "on": []}
+    paths = [
+        f"/eap?from={q.source}&to={q.destination}&t={q.t_start}"
+        for q in queries
+    ]
+    service = PlannerService(CACHE.planner(DATASET, "TTL"))
+    conn = http.client.HTTPConnection(
+        "127.0.0.1", service.start(port=0), timeout=30
+    )
+    samples = []
     try:
-        for mode, enabled in (("off", False), ("on", True)):
-            service = PlannerService(
-                planner, resilience=ResilienceConfig(enabled=enabled)
-            )
-            port = service.start(port=0)
-            services[mode] = service
-            connections[mode] = http.client.HTTPConnection(
-                "127.0.0.1", port, timeout=30
-            )
         for i in range(warmup):
-            q = queries[i % len(queries)]
-            for mode in ("off", "on"):
-                _http_get(
-                    connections[mode],
-                    f"/eap?from={q.source}&to={q.destination}&t={q.t_start}",
-                )
+            _http_get(conn, paths[i % len(paths)])
         for _ in range(reps):
-            for q in queries:
-                path = (
-                    f"/eap?from={q.source}&to={q.destination}&t={q.t_start}"
-                )
-                for mode in ("off", "on"):
-                    conn = connections[mode]
-                    start = time.perf_counter()
-                    _http_get(conn, path)
-                    samples[mode].append(
-                        (time.perf_counter() - start) * 1e6
-                    )
+            for path in paths:
+                start = time.perf_counter()
+                _http_get(conn, path)
+                samples.append((time.perf_counter() - start) * 1e6)
     finally:
-        for conn in connections.values():
-            conn.close()
-        for service in services.values():
-            service.stop()
-    for values in samples.values():
-        values.sort()
+        conn.close()
+        service.stop()
+    samples.sort()
     return samples
 
 
@@ -119,35 +98,23 @@ def test_resilience_overhead(benchmark):
     samples = benchmark.pedantic(
         _measure_resilience_overhead, rounds=1, iterations=1
     )
-    rows = []
-    for mode in ("off", "on"):
-        values = samples[mode]
-        rows.append(
-            [
-                f"resilience {mode}",
-                _percentile(values, 0.50),
-                _percentile(values, 0.95),
-                _percentile(values, 0.99),
-                values[-1],
-            ]
-        )
-    off_p50 = rows[0][1]
-    on_p50 = rows[1][1]
-    overhead = (on_p50 / off_p50 - 1.0) * 100.0
     table = render_table(
-        f"Resilience overhead ({DATASET}, EAP over HTTP, per-request us)",
+        f"Serving pipeline ({DATASET}, EAP over HTTP, per-request us)",
         ["pipeline", "p50", "p95", "p99", "max"],
-        rows,
+        [
+            [
+                "admission + deadline",
+                _percentile(samples, 0.50),
+                _percentile(samples, 0.95),
+                _percentile(samples, 0.99),
+                samples[-1],
+            ]
+        ],
     )
-    table = (
-        f"{table}\n"
-        f"median overhead: {overhead:+.2f}% "
-        f"(n={len(samples['on'])} per mode, interleaved)"
-    )
-    write_result("resilience_overhead", table)
-    # The acceptance bar: deadlines + admission add <5% to the median.
-    assert on_p50 < off_p50 * 1.05, (
-        f"resilience median overhead {overhead:.2f}% exceeds 5%"
+    write_result(
+        "resilience_overhead",
+        f"{table}\n(n={len(samples)}; the pipeline's own cost is the "
+        "ledger's resilience.executor_us)",
     )
 
 

@@ -21,18 +21,16 @@ control plane and seeded chaos kills workers mid-flight.  Four phases:
 After the chaos phase the harness quiesces and compares a sample of
 worker answers byte-for-byte against the supervisor's own reference
 engine on the control port (cache disabled there) — the zero-stale
-oracle.  Any mismatch, reset, or non-converged worker fails the run.
+oracle.  Every sampled answer is compared; any mismatch, error status,
+reset, or non-converged worker fails the run.  The only faults are
+process-level (the seeded SIGKILLs and the drain); nothing is injected
+in process.
 
-The fleet carries one injected-latency fault rule for its whole life,
-not only in the chaos phase: ``planner.query`` sleeps
-``min(0.05, deadline / 4)`` s with probability 0.05.  One request in
-twenty is therefore ~50 ms late in *every* phase, which is what each
-phase's p99 shows (the injected delay plus one request); the rule is
-recorded in the entry as ``fault_rule``.
-
-Per-phase p50/p99 latency and SLO attainment (fraction of requests
-answered 200 within the deadline budget) land in a trajectory entry
-appended under the ``"soak"`` key of
+Per-phase p50/p99 latency, SLO attainment (fraction of requests
+answered 200 within the deadline budget) and the fleet's
+``deadline_exceeded`` / ``shed`` counts (the cluster totals
+``/v1/metrics`` serves, read from the shared scoreboard) land in a
+trajectory entry appended under the ``"soak"`` key of
 ``benchmarks/results/BENCH_serving.json``.
 
 Run (CI smoke is ~30 s)::
@@ -239,7 +237,7 @@ def run_soak(args) -> int:
     from repro.core import build_index
     from repro.datasets import load_dataset
     from repro.live import LiveOverlayEngine
-    from repro.resilience import FaultPlan, FaultRule, ResilienceConfig
+    from repro.resilience import ResilienceConfig
     from repro.serving import ServingSupervisor
 
     rng = random.Random(args.seed)
@@ -257,13 +255,6 @@ def run_soak(args) -> int:
         cache_size=args.cache_size,
         drain_grace_s=args.drain_grace,
     )
-    fault_rule = FaultRule(
-        site="planner.query",
-        kind="latency",
-        seconds=min(0.05, deadline_s / 4),
-        probability=0.05,
-    )
-    fault_plan = FaultPlan(rules=[fault_rule], seed=args.seed)
     journal_path = args.journal or tempfile.mktemp(
         prefix="repro-soak-", suffix=".wal"
     )
@@ -271,7 +262,6 @@ def run_soak(args) -> int:
         lambda: LiveOverlayEngine(graph, index=index),
         workers=args.workers,
         resilience=config,
-        fault_plan=fault_plan,
         journal_path=journal_path,
         heartbeat_interval_s=0.1,
     )
@@ -303,6 +293,17 @@ def run_soak(args) -> int:
     convergence_lags = []
     clock = 0
     failures = []
+
+    # Cumulative fleet counters at each phase boundary.
+    counters = {}
+
+    def mark(phase: str) -> None:
+        totals = supervisor.scoreboard.totals()
+        counters[phase] = {
+            key: totals[key] for key in ("deadline_exceeded", "shed")
+        }
+
+    mark("start")
 
     def emit_event() -> None:
         nonlocal clock
@@ -337,6 +338,7 @@ def run_soak(args) -> int:
     time.sleep(phase_s)
 
     # -- churn ----------------------------------------------------------
+    mark("steady")
     load.phase = "churn"
     churn_end = time.monotonic() + phase_s
     while time.monotonic() < churn_end:
@@ -344,6 +346,7 @@ def run_soak(args) -> int:
         time.sleep(max(0.05, phase_s / max(1, args.events_per_phase)))
 
     # -- chaos ----------------------------------------------------------
+    mark("churn")
     load.phase = "chaos"
     chaos_end = time.monotonic() + phase_s
     kills = 0
@@ -375,10 +378,9 @@ def run_soak(args) -> int:
         try:
             worker_body = _get(port, path)
             reference_body = _get(control, path)
-        except urllib.error.HTTPError:
+        except urllib.error.HTTPError as exc:
+            failures.append(f"oracle request {path} answered {exc.code}")
             continue
-        if worker_body["data"].get("degraded"):
-            continue  # breaker fallback is allowed to differ
         compared += 1
         if json.dumps(worker_body["data"], sort_keys=True) != json.dumps(
             reference_body["data"], sort_keys=True
@@ -394,6 +396,7 @@ def run_soak(args) -> int:
     # and SIGTERM immediately: everything queued or in flight races the
     # shutdown, and each of those requests must either complete or be
     # cleanly refused — never reset mid-exchange.
+    mark("chaos")
     load.phase = "drain"
     time.sleep(min(1.0, phase_s / 4))
     drain_started = time.monotonic()
@@ -401,6 +404,7 @@ def run_soak(args) -> int:
     clean = supervisor.drain(grace_s=config.drain_grace_s)
     drain_wall = time.monotonic() - drain_started
     load.stop()
+    mark("drain")  # the workers' final publishes
     if not clean:
         failures.append("drain escalated to SIGKILL or nonzero exit")
 
@@ -408,10 +412,13 @@ def run_soak(args) -> int:
     # Scoring
     # ------------------------------------------------------------------
     records = load.records
-    phases = {
-        phase: _phase_stats(records, phase, deadline_s)
-        for phase in ("steady", "churn", "chaos", "drain")
-    }
+    phases = {}
+    previous = counters["start"]
+    for phase in ("steady", "churn", "chaos", "drain"):
+        phases[phase] = _phase_stats(records, phase, deadline_s)
+        for key, total in counters[phase].items():
+            phases[phase][key] = total - previous[key]
+        previous = counters[phase]
     # The drain contract: an accepted request always completes, so a
     # connection *reset* is a failure in every phase.  A clean
     # *refusal* is only legitimate during drain (listener closed).
@@ -431,11 +438,6 @@ def run_soak(args) -> int:
         "duration_s": args.duration,
         "seed": args.seed,
         "deadline_ms": args.deadline_ms,
-        "fault_rule": {
-            "site": fault_rule.site,
-            "seconds": fault_rule.seconds,
-            "probability": fault_rule.probability,
-        },
         "phases": phases,
         "events": len(convergence_lags),
         "kills": kills,

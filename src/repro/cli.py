@@ -427,7 +427,7 @@ def _cmd_serve_federation(args: argparse.Namespace, graph, config) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.resilience import ResilienceConfig, load_fault_plan
+    from repro.resilience import ResilienceConfig
     from repro.service import PlannerService
 
     graph = load_dataset(args.name, scale=args.scale, seed=args.seed)
@@ -444,7 +444,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_size=args.cache_size,
         drain_grace_s=args.drain_grace,
     )
-    fault_plan = load_fault_plan(args.chaos) if args.chaos else None
 
     if args.federation:
         return _cmd_serve_federation(args, graph, config)
@@ -504,7 +503,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             factory,
             workers=args.workers,
             resilience=config,
-            fault_plan=fault_plan,
             host=args.host,
             port=args.port,
             journal_path=journal_path,
@@ -512,11 +510,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         port = supervisor.start()
         supervisor.wait_ready()
-        if fault_plan is not None:
-            print(
-                f"chaos plan active: {len(fault_plan.rules)} rules, "
-                f"seed {fault_plan.seed}"
-            )
         print(
             f"serving {args.name} on http://{args.host}:{port} with "
             f"{args.workers} workers ({sharing}; /v1 endpoints; "
@@ -570,15 +563,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "/stations /eap /ldp /sdp /profile /healthz /metrics "
             "/resilience"
         )
-    service = PlannerService(planner, resilience=config, fault_plan=fault_plan)
+    service = PlannerService(planner, resilience=config)
     port = service.start(host=args.host, port=args.port, warm=not args.no_warm)
     if args.no_warm:
         print("index building in the background; /healthz shows progress")
-    if fault_plan is not None:
-        print(
-            f"chaos plan active: {len(fault_plan.rules)} rules, "
-            f"seed {fault_plan.seed}"
-        )
     print(f"serving {args.name} on http://{args.host}:{port} "
           f"(endpoints, preferably under /v1: {endpoints}; "
           f"Ctrl-C stops)",
@@ -892,8 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'build --regions'): one mmap worker per region shard behind "
         "a stitching router",
     )
-    # Hidden: deterministic fault injection for chaos drills.
-    p.add_argument("--chaos", metavar="PLAN.json", help=argparse.SUPPRESS)
     _add_dataset_args(p)
 
     p = sub.add_parser(

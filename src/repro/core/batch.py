@@ -6,12 +6,15 @@ EAP question for one source against many targets.  With a TTL index
 each target costs one merge of the source's out-labels with the
 target's in-labels — no graph search at all.
 
-The single entry point is :func:`batch_plan`: it takes
+The entry point is :func:`batch_plan`: it takes
 :class:`~repro.query.BatchQuery` items and answers each with one
 vectorized pass over the entire in-store when numpy is available
 (:func:`repro.core.kernels.one_to_all_arrivals` — O(total labels)
 columnar work per source, independent of target count), falling back
 to the scalar per-target merge otherwise.  ``/v1/batch`` routes here.
+:func:`batch_search` gives the same answers by one earliest-arrival
+search per source over a timetable that no index describes — a live
+service's overlay.
 
 The three historical entry points (``one_to_many_eat``,
 ``eat_matrix``, ``isochrone``) delegate to :func:`batch_plan` and emit
@@ -21,17 +24,33 @@ The three historical entry points (``one_to_many_eat``,
 from __future__ import annotations
 
 import warnings
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
+from repro.algorithms.temporal_dijkstra import earliest_arrival_search
 from repro.core import kernels
 from repro.core.index import TTLIndex
 from repro.core.sketch import best_eap_sketch_from_lists
 from repro.errors import QueryError
+from repro.graph.timetable import TimetableGraph
 from repro.query import BatchQuery
+from repro.timeutil import INF
+
+#: Earliest arrival at each target from one source (``None``:
+#: unreachable).
+Row = Dict[int, Optional[int]]
 
 #: The per-kind result shapes, in request order.
 BatchResult = Union[
-    Dict[int, Optional[int]],           # one_to_many
+    Row,                                # one_to_many
     Dict[Tuple[int, int], Optional[int]],  # matrix
     List[int],                          # isochrone
 ]
@@ -47,37 +66,56 @@ def batch_plan(
     vectorized one-to-all kernel when available or the scalar
     per-target merge otherwise — both produce identical values.
     """
-    n = index.graph.n
+    _validate(index.graph.n, requests)
+    vectorized = kernels.vectorized_available()
+
+    def row(source: int, targets: Iterable[int], t: int) -> Row:
+        return _one_to_many(index, source, targets, t, vectorized)
+
+    return [_answer(request, index.graph.n, row) for request in requests]
+
+
+def batch_search(
+    graph: TimetableGraph, requests: Sequence[BatchQuery]
+) -> List[BatchResult]:
+    """Answer like :func:`batch_plan`, but with one earliest-arrival
+    search per source over ``graph`` instead of label joins — for a
+    timetable no index describes, such as a live overlay."""
+    _validate(graph.n, requests)
+
+    def row(source: int, targets: Iterable[int], t: int) -> Row:
+        eat, _ = earliest_arrival_search(graph, source, t)
+        return {v: eat[v] if eat[v] < INF else None for v in targets}
+
+    return [_answer(request, graph.n, row) for request in requests]
+
+
+def _validate(n: int, requests: Sequence[BatchQuery]) -> None:
     for request in requests:
         request.validated()
         for station in (*request.sources, *request.targets):
             if not 0 <= station < n:
                 raise QueryError(f"unknown station: {station}")
-    vectorized = kernels.vectorized_available()
-    return [_answer(index, request, vectorized) for request in requests]
 
 
 def _answer(
-    index: TTLIndex, request: BatchQuery, vectorized: bool
+    request: BatchQuery,
+    n: int,
+    row: Callable[[int, Iterable[int], int], Row],
 ) -> BatchResult:
+    """Shape one request's answer from ``row(source, targets, t)``,
+    the earliest arrival (``None`` where unreachable) per target."""
     if request.kind == "one_to_many":
-        return _one_to_many(
-            index, request.sources[0], request.targets, request.t, vectorized
-        )
+        return row(request.sources[0], request.targets, request.t)
     if request.kind == "matrix":
         matrix: Dict[Tuple[int, int], Optional[int]] = {}
         for source in request.sources:
-            row = _one_to_many(
-                index, source, request.targets, request.t, vectorized
-            )
-            for target, arr in row.items():
+            for target, arr in row(source, request.targets, request.t).items():
                 matrix[(source, target)] = arr
         return matrix
     # isochrone
     source, t, budget = request.sources[0], request.t, request.budget
-    arrivals = _one_to_many(
-        index, source, range(index.graph.n), t, vectorized
-    )
+    arrivals = row(source, range(n), t)
     reachable = [
         (arr, station)
         for station, arr in arrivals.items()
@@ -93,12 +131,12 @@ def _one_to_many(
     targets: Iterable[int],
     t: int,
     vectorized: bool,
-) -> Dict[int, Optional[int]]:
+) -> Row:
     targets = list(targets)
     if vectorized and kernels.use_for_one_to_all(index, len(targets)):
         return kernels.one_to_many_values(index, source, targets, t)
     out_list = index.out_label_groups(source)
-    result: Dict[int, Optional[int]] = {}
+    result: Row = {}
     for target in targets:
         if target == source:
             result[target] = t

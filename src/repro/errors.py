@@ -184,9 +184,3 @@ class ConflictError(ReproError):
 
 class PayloadTooLarge(ReproError):
     """Raised when an HTTP request body exceeds the size cap (413)."""
-
-
-class FaultInjected(ReproError):
-    """A failure deliberately injected by an active
-    :class:`~repro.resilience.FaultPlan` (maps to HTTP 500: it stands
-    in for an unexpected internal error)."""

@@ -48,7 +48,7 @@ from repro.federation.manifest import FederationManifest
 from repro.federation.stitch import FederatedPlanner, load_federation
 from repro.graph.timetable import TimetableGraph
 from repro.journey import Journey
-from repro.resilience import FaultPlan, ResilienceConfig
+from repro.resilience import ResilienceConfig
 from repro.serving.http import (
     HttpServer,
     Request,
@@ -199,7 +199,6 @@ def _federation_worker_main(
     manifest_path: str,
     scoreboard: Scoreboard,
     resilience: Optional[ResilienceConfig] = None,
-    fault_plan: Optional[FaultPlan] = None,
     heartbeat_interval_s: float = 0.25,
     mmap: bool = True,
 ) -> None:
@@ -220,7 +219,6 @@ def _federation_worker_main(
     service = PlannerService(
         planner,
         resilience=resilience,
-        fault_plan=fault_plan,
         worker_id=region,
         scoreboard=scoreboard,
         epoch=f"{planner.manifest.epoch}/r{region}",
@@ -255,7 +253,6 @@ class FederationSupervisor(ServingSupervisor):
         graph: TimetableGraph,
         manifest_path: str,
         resilience: Optional[ResilienceConfig] = None,
-        fault_plan: Optional[FaultPlan] = None,
         host: str = "127.0.0.1",
         port: int = 0,
         heartbeat_interval_s: float = 0.25,
@@ -279,7 +276,6 @@ class FederationSupervisor(ServingSupervisor):
             planner_factory=_no_factory,
             workers=manifest.num_regions,
             resilience=resilience,
-            fault_plan=fault_plan,
             host=host,
             port=port,
             heartbeat_interval_s=heartbeat_interval_s,
@@ -371,7 +367,6 @@ class FederationSupervisor(ServingSupervisor):
             ),
             kwargs={
                 "resilience": self.resilience,
-                "fault_plan": self.fault_plan,
                 "heartbeat_interval_s": self.heartbeat_interval_s,
                 "mmap": self.mmap,
             },

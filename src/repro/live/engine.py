@@ -182,18 +182,6 @@ class LiveOverlayEngine(RoutePlanner):
         queries; fallback searches are tracked in :attr:`stats`)."""
         return self._ttl.metrics
 
-    @property
-    def frozen(self) -> TTLPlanner:
-        """The exact planner for the *frozen* (published) timetable.
-
-        This is the degradation target the service's circuit breaker
-        falls back to: answers ignore live events, but are exact for
-        the base schedule, microsecond-fast, and — because the sealed
-        index is immutable — safe to query without the service lock.
-        """
-        self.preprocess()
-        return self._ttl
-
     def note_feed_skip(self, count: int = 1) -> None:
         """Count feed records skipped during replay."""
         self.feed_skipped += count

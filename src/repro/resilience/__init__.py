@@ -1,30 +1,21 @@
-"""Serving robustness: deadlines, shedding, breaking, chaos.
+"""Serving robustness: shed excess load, bound every request.
 
-The paper's serving story — microsecond label lookups behind an HTTP
-front end — survives production only with guard rails.  This package
-provides them, independent of any planner:
+The paper's query is a microsecond label join, so serving it needs
+exactly two guard rails, independent of any planner:
 
-* :mod:`~repro.resilience.deadline` — per-request wall-clock budgets
-  checked cooperatively inside the expensive query loops, so an
-  expired query raises instead of hogging the planner lock (504).
 * :mod:`~repro.resilience.admission` — a bounded in-flight gate that
   sheds excess load immediately (429 + ``Retry-After``) and drives
   the readiness signal while saturated (503).
-* :mod:`~repro.resilience.breaker` — a circuit breaker over the live
-  engine's exact path; tripped, the service answers from the frozen
-  TTL index (fast, lock-free, flagged ``"degraded": true``) and probes
-  its way back to exact answers.
-* :mod:`~repro.resilience.faults` — seeded, deterministic fault
-  injection (latency, errors, lock-hold spikes, clock skew) so the
-  chaos suite can prove each failure maps to its documented status.
-* :mod:`~repro.resilience.executor` — the pipeline composing all of
-  the above, shared by the HTTP service and the overhead benchmark.
+* :mod:`~repro.resilience.deadline` — per-request wall-clock budgets
+  checked cooperatively inside the expensive query loops, so an
+  expired query raises instead of hogging the planner lock (504).
 
-See ``docs/resilience.md`` for semantics and the status-code table.
+:mod:`~repro.resilience.executor` composes the two into the one choke
+point every service query passes through.  See ``docs/resilience.md``
+for semantics and the status-code table.
 """
 
 from repro.resilience.admission import AdmissionController
-from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.resilience.config import ResilienceConfig
 from repro.resilience.deadline import (
     Deadline,
@@ -33,27 +24,13 @@ from repro.resilience.deadline import (
     deadline_scope,
 )
 from repro.resilience.executor import ResilientExecutor
-from repro.resilience.faults import (
-    FaultInjector,
-    FaultPlan,
-    FaultRule,
-    load_fault_plan,
-)
 
 __all__ = [
     "AdmissionController",
-    "CircuitBreaker",
-    "CLOSED",
-    "OPEN",
-    "HALF_OPEN",
     "ResilienceConfig",
     "ResilientExecutor",
     "Deadline",
     "active_deadline",
     "check_deadline",
     "deadline_scope",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultRule",
-    "load_fault_plan",
 ]

@@ -16,12 +16,7 @@ from typing import Optional
 
 @dataclass
 class ResilienceConfig:
-    """Knobs for deadlines, admission control, and the breaker."""
-
-    #: Master switch.  ``False`` serves queries the pre-resilience way
-    #: (no deadline, no gate, no breaker) — used by the overhead
-    #: benchmark's baseline and as an escape hatch.
-    enabled: bool = True
+    """Knobs for deadlines, admission control, and serving."""
 
     #: Per-request wall-clock budget in milliseconds; ``None`` disables
     #: deadlines while keeping the rest of the layer.
@@ -34,17 +29,6 @@ class ResilienceConfig:
     retry_after_s: float = 1.0
     #: How long readiness keeps reporting "shedding" after a shed.
     shed_grace_s: float = 1.0
-
-    # Circuit breaker (live engines only) -------------------------------
-    #: Construct a breaker when the planner is a live overlay engine.
-    breaker_enabled: bool = True
-    breaker_window: int = 32
-    breaker_min_samples: int = 8
-    breaker_failure_threshold: float = 0.5
-    #: Exact-path latency above which a query counts as a failure.
-    breaker_slow_s: float = 0.25
-    #: Open duration before a half-open probe is allowed.
-    breaker_cooldown_s: float = 5.0
 
     # Answer cache -------------------------------------------------------
     #: Per-worker hot-pair answer cache capacity in entries; ``0``

@@ -1,175 +1,76 @@
-"""The guarded query pipeline: admission -> deadline -> breaker.
+"""The guarded query pipeline: admit -> install deadline -> run -> check.
 
 :class:`ResilientExecutor` is the single choke point every service
 query passes through.  Keeping it out of ``service.py`` means the
-latency-overhead benchmark can measure exactly the machinery a request
-pays for (no HTTP in the way) and unit tests can drive it without a
-socket.
-
-Pipeline per call (see :meth:`run`):
-
-1. fire the ``service.request`` injection site (chaos latency);
-2. admit through the in-flight gate or shed with 429;
-3. create the request :class:`~repro.resilience.deadline.Deadline`
-   (minus any injected clock skew) and install it for the thread;
-4. consult the circuit breaker: when open, answer via the degraded
-   function (lock-free frozen-graph TTL) and flag it;
-5. otherwise run the exact function — under the planner lock when one
-   is given — with fault sites ``service.lock`` / ``planner.query`` /
-   ``live.exact`` fired inside, deadline checks before and after, and
-   the outcome (latency or failure) recorded into the breaker.
+ledger can price exactly the machinery a request pays for
+(``resilience.executor_us``, no HTTP in the way) and unit tests can
+drive it without a socket.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Callable, Optional, Tuple
 
-from repro.errors import DeadlineExceeded, FaultInjected
+from repro.errors import DeadlineExceeded
 from repro.resilience.admission import AdmissionController
-from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.config import ResilienceConfig
 from repro.resilience.deadline import Deadline, deadline_scope
-from repro.resilience.faults import FaultInjector
-
-Clock = Callable[[], float]
 
 
 class ResilientExecutor:
-    """Runs planner calls behind the full resilience pipeline."""
+    """Runs planner calls behind the admission gate and a deadline."""
 
-    def __init__(
-        self,
-        config: Optional[ResilienceConfig] = None,
-        breaker: Optional[CircuitBreaker] = None,
-        injector: Optional[FaultInjector] = None,
-        clock: Clock = time.monotonic,
-    ) -> None:
+    def __init__(self, config: Optional[ResilienceConfig] = None) -> None:
         self.config = config or ResilienceConfig()
         self.admission = AdmissionController(
             max_inflight=self.config.max_inflight,
             retry_after_s=self.config.retry_after_s,
             shed_grace_s=self.config.shed_grace_s,
-            clock=clock,
         )
-        self.breaker = breaker
-        self.injector = injector
-        self._clock = clock
         self._deadline_hits = 0
-        self._degraded_served = 0
-
-    # ------------------------------------------------------------------
-
-    def make_breaker(self) -> CircuitBreaker:
-        """Construct the breaker this config describes (live engines)."""
-        cfg = self.config
-        return CircuitBreaker(
-            window=cfg.breaker_window,
-            min_samples=cfg.breaker_min_samples,
-            failure_threshold=cfg.breaker_failure_threshold,
-            slow_threshold_s=cfg.breaker_slow_s,
-            cooldown_s=cfg.breaker_cooldown_s,
-            clock=self._clock,
-        )
-
-    def _fire(self, site: str) -> None:
-        if self.injector is not None:
-            self.injector.fire(site)
-
-    def _make_deadline(self) -> Optional[Deadline]:
-        ms = self.config.deadline_ms
-        if ms is None:
-            return None
-        if self.injector is not None:
-            ms = ms - self.injector.clock_skew() * 1000.0
-        return Deadline.after_ms(ms)
-
-    # ------------------------------------------------------------------
 
     def run(
         self,
         fn: Callable[[], Any],
         lock: Optional[threading.RLock] = None,
-        degraded_fn: Optional[Callable[[], Any]] = None,
     ) -> Tuple[Any, bool]:
-        """Execute ``fn`` behind the pipeline.
+        """Admit, install the request deadline, run ``fn`` (holding
+        ``lock`` when given) and check the deadline again afterwards,
+        so a call that finished past its budget still fails.
 
-        Args:
-            fn: the exact planner call.
-            lock: service planner lock to hold around ``fn``.
-            degraded_fn: lock-free frozen-graph fallback used while
-                the breaker is open.  Its presence marks ``fn`` as a
-                breaker-guarded live exact path.
-
-        Returns:
-            ``(result, degraded)`` — ``degraded`` is True when the
-            answer came from ``degraded_fn``.
+        Returns ``(result, False)``: the second element is the
+        historical "degraded" flag, and answers are always exact.
 
         Raises:
             Overloaded: shed by admission control (429).
             DeadlineExceeded: budget expired (504).
-            FaultInjected: an injected internal error (500).
         """
-        if not self.config.enabled:
-            if lock is not None:
-                with lock:
-                    return fn(), False
-            return fn(), False
-
-        self._fire("service.request")
         with self.admission.admit():
-            deadline = self._make_deadline()
+            ms = self.config.deadline_ms
+            deadline = None if ms is None else Deadline.after_ms(ms)
             with deadline_scope(deadline):
                 try:
+                    if lock is None:
+                        result = fn()
+                    else:
+                        with lock:
+                            # The wait for the lock may have spent the
+                            # whole budget.
+                            if deadline is not None:
+                                deadline.check()
+                            result = fn()
                     if deadline is not None:
                         deadline.check()
-                    breaker = self.breaker if degraded_fn is not None else None
-                    if breaker is not None and not breaker.allow_exact():
-                        self._degraded_served += 1
-                        return degraded_fn(), True
-                    start = self._clock()
-                    try:
-                        if lock is not None:
-                            with lock:
-                                self._fire("service.lock")
-                                if deadline is not None:
-                                    deadline.check()
-                                self._fire("planner.query")
-                                if breaker is not None:
-                                    self._fire("live.exact")
-                                result = fn()
-                        else:
-                            self._fire("planner.query")
-                            if breaker is not None:
-                                self._fire("live.exact")
-                            result = fn()
-                        if deadline is not None:
-                            deadline.check()
-                    except (DeadlineExceeded, FaultInjected):
-                        if breaker is not None:
-                            breaker.record(failure=True)
-                        raise
-                    if breaker is not None:
-                        breaker.record(latency_s=self._clock() - start)
-                    return result, False
                 except DeadlineExceeded:
                     self._deadline_hits += 1
                     raise
-
-    # ------------------------------------------------------------------
+                return result, False
 
     def snapshot(self) -> dict:
         """JSON-safe pipeline state for ``/resilience`` and /metrics."""
-        body = {
-            "enabled": self.config.enabled,
+        return {
             "deadline_ms": self.config.deadline_ms,
             "deadline_exceeded": self._deadline_hits,
-            "degraded_served": self._degraded_served,
             "admission": self.admission.snapshot(),
         }
-        if self.breaker is not None:
-            body["breaker"] = self.breaker.snapshot()
-        if self.injector is not None:
-            body["faults"] = self.injector.snapshot()
-        return body

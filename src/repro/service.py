@@ -17,13 +17,13 @@ The current API is **versioned**: every endpoint answers under a
     {"data": <the result>, "meta": {"elapsed_us": ..., "degraded": ...,
                                     "worker": ...}}
 
-``meta.elapsed_us`` is server-side handling time, ``meta.degraded``
-flags circuit-broken frozen-timetable answers, and ``meta.worker``
-identifies the serving process under prefork multi-worker serving
-(:mod:`repro.serving`).  The bare legacy paths keep answering with
-their historical (un-enveloped) bodies but carry a
-``Deprecation: true`` header; see ``docs/api.md`` for the migration
-table.
+``meta.elapsed_us`` is server-side handling time, ``meta.degraded`` is
+always ``false`` (answers are always exact; the key stays for wire
+compatibility), and ``meta.worker`` identifies the serving process
+under prefork multi-worker serving (:mod:`repro.serving`).  The bare
+legacy paths keep answering with their historical (un-enveloped)
+bodies but carry a ``Deprecation: true`` header; see ``docs/api.md``
+for the migration table.
 
 Query endpoints (GET, JSON responses, shown with the ``/v1`` prefix):
 
@@ -32,7 +32,7 @@ Query endpoints (GET, JSON responses, shown with the ``/v1`` prefix):
 * ``/v1/healthz/ready``                    — readiness (503 while
   warming or shedding)
 * ``/v1/metrics``                          — cumulative query counters
-* ``/v1/resilience``                       — deadline/gate/breaker state
+* ``/v1/resilience``                       — deadline/gate state
 * ``/v1/stations``                         — id/name listing
 * ``/v1/eap?from=U&to=V&t=SECONDS``        — earliest arrival
 * ``/v1/ldp?from=U&to=V&t=SECONDS``        — latest departure
@@ -50,7 +50,9 @@ Batched accessibility queries go through one POST instead of N GETs:
   (and bodies above ``max_body_bytes`` with 413, as everywhere).
 
 When the planner is a :class:`~repro.live.engine.LiveOverlayEngine`,
-disruption endpoints come alive:
+disruption endpoints come alive, and ``/v1/batch`` answers each source
+with one earliest-arrival search over the live overlay (the sealed
+index does not know about disruptions):
 
 * ``GET  /live/events``   — registered (id, event) pairs
 * ``GET  /live/stats``    — fast-path / fallback / feed-skip counters
@@ -59,12 +61,9 @@ disruption endpoints come alive:
 * ``POST /live/clear``    — body ``{"id": n}`` or ``{}`` for all
 
 Every query request runs through the
-:class:`~repro.resilience.ResilientExecutor` pipeline: a per-request
-deadline (504 on expiry), a bounded in-flight admission gate (429 +
-``Retry-After`` when shedding), and — for live engines — a circuit
-breaker that, when tripped, serves TTL answers on the frozen base
-timetable flagged ``"degraded": true`` instead of exact overlay
-answers.  The full status-code contract:
+:class:`~repro.resilience.ResilientExecutor` pipeline: a bounded
+in-flight admission gate (429 + ``Retry-After`` when shedding) and a
+per-request deadline (504 on expiry).
 
 Every error — any method, any version, any status — carries one JSON
 shape: ``{"error": <message>, "field": <offending parameter or null>,
@@ -90,8 +89,7 @@ status meaning
 ====== =================================================================
 
 A service-level lock serializes planner access against overlay swaps,
-so injecting an event while queries are in flight is safe; degraded
-(frozen-graph) answers bypass the lock entirely, which is the point.
+so injecting an event while queries are in flight is safe.
 """
 
 from __future__ import annotations
@@ -103,7 +101,7 @@ import threading
 import time
 from typing import Dict, Optional
 
-from repro.core.batch import batch_plan
+from repro.core.batch import batch_plan, batch_search
 from repro.errors import (
     ConflictError,
     ReproError,
@@ -114,13 +112,7 @@ from repro.live.engine import LiveOverlayEngine
 from repro.live.events import event_from_dict
 from repro.planner import RoutePlanner
 from repro.query import BATCH_KINDS, BatchQuery, QueryRequest
-from repro.resilience import (
-    CircuitBreaker,
-    FaultInjector,
-    FaultPlan,
-    ResilienceConfig,
-    ResilientExecutor,
-)
+from repro.resilience import ResilienceConfig, ResilientExecutor
 from repro.serving.http import (
     HttpServer,
     Request,
@@ -131,6 +123,10 @@ from repro.serving.http import (
 )
 
 
+#: The point-query endpoints (without the ``/v1`` prefix).
+_QUERY_PATHS = ("/eap", "/ldp", "/sdp", "/profile")
+
+
 class PlannerService:
     """Serve one preprocessed planner over HTTP."""
 
@@ -138,8 +134,6 @@ class PlannerService:
         self,
         planner: RoutePlanner,
         resilience: Optional[ResilienceConfig] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        breaker: Optional[CircuitBreaker] = None,
         worker_id: int = 0,
         scoreboard=None,
         journal=None,
@@ -150,14 +144,8 @@ class PlannerService:
 
         Args:
             planner: any :class:`~repro.planner.RoutePlanner`.
-            resilience: deadline/gate/breaker knobs (defaults are
-                permissive; pass ``ResilienceConfig(enabled=False)``
-                for the bare pre-resilience pipeline).
-            fault_plan: optional chaos plan; its rules fire at the
-                documented injection sites.
-            breaker: pre-built circuit breaker (tests inject one with
-                a fake clock); by default one is constructed for live
-                engines from the config.
+            resilience: deadline/gate/cache knobs (the defaults are
+                permissive).
             worker_id: identity reported in ``meta.worker`` of ``/v1``
                 envelopes; the prefork supervisor numbers its workers,
                 single-process serving keeps the default ``0``.
@@ -228,19 +216,7 @@ class PlannerService:
         self._live = (
             planner if isinstance(planner, LiveOverlayEngine) else None
         )
-        injector = (
-            FaultInjector(fault_plan) if fault_plan is not None else None
-        )
-        self.executor = ResilientExecutor(
-            self.config, breaker=breaker, injector=injector
-        )
-        if (
-            breaker is None
-            and self._live is not None
-            and self.config.enabled
-            and self.config.breaker_enabled
-        ):
-            self.executor.breaker = self.executor.make_breaker()
+        self.executor = ResilientExecutor(self.config)
         self._ready = threading.Event()
         self._warm_error: Optional[str] = None
         self._server: Optional[HttpServer] = None
@@ -291,8 +267,6 @@ class PlannerService:
 
     def _warm_up(self) -> None:
         try:
-            if self.executor.injector is not None:
-                self.executor.injector.fire("service.preprocess")
             self.planner.preprocess()
         except Exception as exc:  # surfaced via readiness, not a crash
             self._warm_error = f"{exc.__class__.__name__}: {exc}"
@@ -318,7 +292,6 @@ class PlannerService:
             "sketches_generated": 0,
             "unfold_fallbacks": 0,
             "deadline_exceeded": 0,
-            "degraded_served": 0,
             "shed": 0,
         }
         metrics = getattr(self.planner, "metrics", None)
@@ -328,9 +301,8 @@ class PlannerService:
             counters["sketches_generated"] = metrics.sketches_generated
             counters["unfold_fallbacks"] = metrics.unfold_fallbacks
         snapshot = self.executor.snapshot()
-        counters["deadline_exceeded"] = snapshot.get("deadline_exceeded", 0)
-        counters["degraded_served"] = snapshot.get("degraded_served", 0)
-        counters["shed"] = snapshot.get("admission", {}).get("shed", 0)
+        counters["deadline_exceeded"] = snapshot["deadline_exceeded"]
+        counters["shed"] = snapshot["admission"]["shed"]
         counters.update(
             self.cache.counters()
             if self.cache is not None
@@ -518,16 +490,13 @@ def _make_handler(service: PlannerService):
                 )
             headers = None
             if versioned:
-                degraded = False
-                if isinstance(body, dict):
-                    degraded = bool(body.pop("degraded", False))
                 body = {
                     "data": body,
                     "meta": {
                         "elapsed_us": int(
                             (time.perf_counter() - started) * 1e6
                         ),
-                        "degraded": degraded,
+                        "degraded": False,
                         "worker": service.worker_id,
                     },
                 }
@@ -536,6 +505,8 @@ def _make_handler(service: PlannerService):
                 # tells clients to move to /v1 (docs/api.md has the
                 # migration table).
                 headers = {"Deprecation": "true"}
+                if live is not None and path in _QUERY_PATHS:
+                    body["degraded"] = False  # the legacy live shape
             return json_response(200, body, headers)
 
         # --------------------------------------------------------------
@@ -571,15 +542,11 @@ def _make_handler(service: PlannerService):
                     retry_after=config.retry_after_s,
                 )
 
-        def _query(self, exact, degraded):
+        def _query(self, fn):
             """Run a query through the resilience pipeline."""
             self._require_ready()
-            result, is_degraded = executor.run(
-                exact,
-                lock=lock,
-                degraded_fn=degraded if live is not None else None,
-            )
-            return result, is_degraded
+            result, _ = executor.run(fn, lock=lock)
+            return result
 
         def _cache_key(self, kind, origin, destination, t, t_end=None,
                        extra=()):
@@ -603,21 +570,6 @@ def _make_handler(service: PlannerService):
                 t_end=t_end,
                 extra=extra,
             )
-
-        def _cache_put(self, key, body, is_degraded, t_end=None):
-            """Store one computed answer.
-
-            Degraded (circuit-broken frozen-timetable) answers are
-            never cached: they are only acceptable while the breaker
-            is open.  ``static_ok`` marks answers that are pure
-            functions of the sealed index — the live engine's fast
-            path — which invalidation sweeps may re-key across
-            generations after certifying them against the new patch.
-            """
-            if key is None or is_degraded:
-                return
-            static_ok = live is None or live.last_query_fast_path
-            cache.put(key, body, static_ok=static_ok, t_end=t_end)
 
         def _cache_invalidate(self):
             """Taint-driven sweep after a live mutation (caller holds
@@ -647,21 +599,19 @@ def _make_handler(service: PlannerService):
                 hit = cache.get(key)
                 if hit is not None:
                     return hit
-            result, is_degraded = self._query(
-                lambda: planner.plan(request),
-                (lambda: live.frozen.plan(request))
-                if live is not None
-                else None,
-            )
+            result = self._query(lambda: planner.plan(request))
             if request.query_type == "profile":
                 body = {"pairs": [list(pair) for pair in result.pairs]}
             else:
                 journey = result.journey
                 body = {"journey": journey.to_dict() if journey else None}
-            if live is not None:
-                body["degraded"] = is_degraded
             if key is not None:
-                self._cache_put(key, body, is_degraded, t_end=t_end)
+                # ``static_ok`` marks answers that are pure functions of
+                # the sealed index — the live engine's fast path — which
+                # invalidation sweeps may re-key across generations
+                # after certifying them against the new patch.
+                static_ok = live is None or live.last_query_fast_path
+                cache.put(key, body, static_ok=static_ok, t_end=t_end)
             return body
 
         def _route_get(self, path: str, params: dict):
@@ -701,7 +651,7 @@ def _make_handler(service: PlannerService):
                 return {"status": "alive"}
             if path == "/healthz/ready":
                 self._require_ready()
-                if config.enabled and executor.admission.shedding:
+                if executor.admission.shedding:
                     raise ServiceNotReady(
                         "shedding load (admission gate saturated)",
                         retry_after=config.retry_after_s,
@@ -754,7 +704,7 @@ def _make_handler(service: PlannerService):
                         for s in range(graph.n)
                     ]
                 }
-            if path in ("/eap", "/ldp", "/sdp", "/profile"):
+            if path in _QUERY_PATHS:
                 kind = path[1:]
                 u = _int_param(params, "from")
                 v = _int_param(params, "to")
@@ -909,13 +859,16 @@ def _make_handler(service: PlannerService):
                     "shapes",
                 )
             query = self._batch_query(kind, body)
-            answer, is_degraded = self._query(
-                lambda: batch_plan(index, [query])[0], None
-            )
+            if live is None:
+                answer = self._query(lambda: batch_plan(index, [query])[0])
+            else:
+                # The sealed index knows nothing of live events: search
+                # the overlay instead, one search per source.
+                answer = self._query(
+                    lambda: batch_search(live.overlay, [query])[0]
+                )
             result = _batch_result_body(query, answer)
-            if live is not None:
-                result["degraded"] = is_degraded
-            if key is not None and not (live is not None and is_degraded):
+            if key is not None:
                 cache.put(key, result, static_ok=False)
             return result
 

@@ -158,9 +158,8 @@ class AnswerCache:
     def get(self, key: CacheKey) -> Optional[dict]:
         """The cached payload (a fresh top-level copy) or ``None``.
 
-        The copy matters: the ``/v1`` dispatcher pops ``degraded`` out
-        of the body it envelopes, which must not corrode the stored
-        entry.
+        The copy matters: a legacy live answer gains a ``degraded`` key
+        on its way out, which must not corrode the stored entry.
         """
         with self._lock:
             entry = self._entries.get(key)

@@ -34,7 +34,6 @@ from urllib.parse import parse_qs
 from repro.errors import (
     ConflictError,
     DeadlineExceeded,
-    FaultInjected,
     Overloaded,
     PayloadTooLarge,
     ReproError,
@@ -103,8 +102,6 @@ def error_response(exc: Exception, extra: Optional[dict] = None) -> Response:
         status = 413
     elif isinstance(exc, ConflictError):
         status = 409
-    elif isinstance(exc, FaultInjected):
-        status, message = 500, f"internal error: {exc}"
     elif isinstance(exc, (ReproError, KeyError, ValueError)):
         status = 400
     else:  # unexpected: a JSON 500, and the thread survives

@@ -54,7 +54,6 @@ COUNTER_FIELDS = (
     "sketches_generated",
     "unfold_fallbacks",
     "deadline_exceeded",
-    "degraded_served",
     "shed",
     "cache_hits",
     "cache_misses",

@@ -16,7 +16,7 @@ parent a pure process manager — if it has nothing to do it does
 nothing, and a wedged handler can never take the supervisor down.
 
 Respawn: a monitor thread polls child liveness; when a worker dies
-(crash, OOM-kill, chaos drill) its last published counters are folded
+(crash, OOM-kill, SIGKILL drill) its last published counters are folded
 into the scoreboard's retired row — keeping aggregated ``/metrics``
 monotonic — and a fresh worker is forked into the same slot with a
 bumped generation number.  Forking from the live parent means respawn
@@ -46,7 +46,7 @@ import time
 from typing import Dict, Optional
 
 from repro.errors import ServiceNotReady
-from repro.resilience import FaultPlan, ResilienceConfig
+from repro.resilience import ResilienceConfig
 from repro.serving.scoreboard import Scoreboard
 from repro.serving.worker import PlannerFactory, worker_main
 
@@ -59,7 +59,6 @@ class ServingSupervisor:
         planner_factory: PlannerFactory,
         workers: int = 2,
         resilience: Optional[ResilienceConfig] = None,
-        fault_plan: Optional[FaultPlan] = None,
         host: str = "127.0.0.1",
         port: int = 0,
         heartbeat_interval_s: float = 0.25,
@@ -74,7 +73,6 @@ class ServingSupervisor:
         self.planner_factory = planner_factory
         self.num_workers = workers
         self.resilience = resilience
-        self.fault_plan = fault_plan
         self.host = host
         self.port = port
         self.heartbeat_interval_s = heartbeat_interval_s
@@ -323,7 +321,6 @@ class ServingSupervisor:
             ),
             kwargs={
                 "resilience": self.resilience,
-                "fault_plan": self.fault_plan,
                 "heartbeat_interval_s": self.heartbeat_interval_s,
                 "warm": self.warm,
                 "journal_path": self.journal_path

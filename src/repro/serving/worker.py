@@ -24,7 +24,7 @@ from repro.core.queries import TTLPlanner
 from repro.core.serialize import load_index
 from repro.graph.timetable import TimetableGraph
 from repro.planner import RoutePlanner
-from repro.resilience import FaultPlan, ResilienceConfig
+from repro.resilience import ResilienceConfig
 from repro.serving.scoreboard import Scoreboard
 
 PlannerFactory = Callable[[], RoutePlanner]
@@ -96,7 +96,6 @@ def worker_main(
     planner_factory: PlannerFactory,
     scoreboard: Scoreboard,
     resilience: Optional[ResilienceConfig] = None,
-    fault_plan: Optional[FaultPlan] = None,
     heartbeat_interval_s: float = 0.25,
     warm: bool = True,
     journal_path: Optional[str] = None,
@@ -124,7 +123,6 @@ def worker_main(
     service = PlannerService(
         planner,
         resilience=resilience,
-        fault_plan=fault_plan,
         worker_id=worker_id,
         scoreboard=scoreboard,
         coordinator=coordinator,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -41,6 +42,39 @@ def make_random_route_graph(
         for k in range(rng.randrange(1, max_trips + 1)):
             builder.add_trip_departures(route, t0 + k * rng.randrange(5, 20), legs)
     return builder.build()
+
+
+class SlowPlanner:
+    """Faults for serving tests, mixed in front of a planner class:
+    ``SlowPlanner.of(TTLPlanner)(graph, delay_s=0.2, times=1)``.
+
+    ``plan`` sleeps ``delay_s`` and then raises ``error`` (when given)
+    on its first ``times`` calls, or on every call with ``times=None``;
+    the one-time index build (``preprocess``) sleeps ``warm_s`` first.
+    """
+
+    def __init__(self, *args, delay_s=0.0, error=None, times=None,
+                 warm_s=0.0, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.delay_s, self.error = delay_s, error
+        self.times, self.warm_s = times, warm_s
+
+    @classmethod
+    def of(cls, planner_cls):
+        return type(f"Slow{planner_cls.__name__}", (cls, planner_cls), {})
+
+    def plan(self, request):
+        if self.times is None or self.times > 0:
+            if self.times is not None:
+                self.times -= 1
+            time.sleep(self.delay_s)
+            if self.error is not None:
+                raise self.error
+        return super().plan(request)
+
+    def _build(self):
+        time.sleep(self.warm_s)
+        super()._build()
 
 
 @pytest.fixture

@@ -1,11 +1,11 @@
-"""End-to-end chaos suite: injected faults over real HTTP.
+"""End-to-end chaos suite: planner faults over real HTTP.
 
-Each test starts a real :class:`~repro.service.PlannerService` with a
-seeded :class:`~repro.resilience.FaultPlan` and asserts that every
-injected failure surfaces as its *documented* status code — never a
-crash, never a hung socket — and that the service recovers to exact
-answers once the faults are exhausted.  The suite is parametrized over
-committed seeds so CI replays identical failure sequences.
+Each test starts a real :class:`~repro.service.PlannerService` over a
+:class:`~tests.conftest.SlowPlanner` (a planner whose ``plan`` sleeps
+or raises, or whose index build sleeps) and asserts that every failure
+surfaces as its *documented* status code — never a crash, never a hung
+socket — and that the service recovers to exact answers once the fault
+is spent.  The suite is parametrized over committed graph seeds.
 """
 
 import json
@@ -18,32 +18,15 @@ import urllib.request
 import pytest
 
 from repro.core import TTLPlanner
-from repro.live import LiveOverlayEngine
-from repro.resilience import (
-    CLOSED,
-    CircuitBreaker,
-    FaultPlan,
-    FaultRule,
-    ResilienceConfig,
-)
+from repro.resilience import ResilienceConfig
 from repro.service import PlannerService
-from tests.conftest import make_random_route_graph
+from tests.conftest import SlowPlanner, make_random_route_graph
 
-#: Committed chaos seeds: CI replays these exact failure sequences.
 SEEDS = (11, 23, 47)
 
 pytestmark = pytest.mark.parametrize("seed", SEEDS)
 
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
+SlowTTL = SlowPlanner.of(TTLPlanner)
 
 
 def fetch(port, path):
@@ -59,19 +42,9 @@ def fetch(port, path):
         return err.code, dict(err.headers), json.loads(err.read())
 
 
-def post(port, path, body):
-    request = urllib.request.Request(
-        f"http://127.0.0.1:{port}{path}",
-        data=json.dumps(body).encode(),
-        headers={"Content-Type": "application/json"},
-        method="POST",
-    )
-    with urllib.request.urlopen(request, timeout=10) as response:
-        return response.status, json.loads(response.read())
-
-
-def feasible_pair(graph, planner):
+def feasible_pair(graph):
     """First (u, v) with a non-trivial journey at t=0."""
+    planner = TTLPlanner(graph)
     for u in range(graph.n):
         for v in range(graph.n):
             if u == v:
@@ -82,87 +55,54 @@ def feasible_pair(graph, planner):
     pytest.skip("no feasible pair in sampled graph")
 
 
-def start_service(request, planner, config, plan=None, breaker=None,
-                  warm=True):
-    svc = PlannerService(
-        planner, resilience=config, fault_plan=plan, breaker=breaker
-    )
+def start_service(request, planner, config, warm=True):
+    svc = PlannerService(planner, resilience=config)
     port = svc.start(port=0, warm=warm)
     request.addfinalizer(svc.stop)
     return svc, port
 
 
+def graph_for(seed):
+    return make_random_route_graph(random.Random(seed), 10, 7)
+
+
 class TestLatencyToDeadline:
     def test_injected_latency_maps_to_504_then_recovers(self, request, seed):
-        graph = make_random_route_graph(random.Random(seed), 10, 7)
-        planner = TTLPlanner(graph)
-        u, v, _ = feasible_pair(graph, planner)
-        plan = FaultPlan(
-            rules=[
-                FaultRule(site="planner.query", kind="latency",
-                          seconds=0.2, times=1)
-            ],
-            seed=seed,
-        )
+        graph = graph_for(seed)
+        u, v, expected = feasible_pair(graph)
         _, port = start_service(
-            request, planner, ResilienceConfig(deadline_ms=50.0), plan
+            request,
+            SlowTTL(graph, delay_s=0.2, times=1),
+            ResilienceConfig(deadline_ms=50.0),
         )
         status, _, body = fetch(port, f"/eap?from={u}&to={v}&t=0")
         assert status == 504
         assert "deadline" in body["error"]
-        # Fault exhausted: the very next request is healthy and exact.
+        # Fault spent: the very next request is healthy and exact.
         status, _, body = fetch(port, f"/eap?from={u}&to={v}&t=0")
         assert status == 200
-        expected = planner.earliest_arrival(u, v, 0)
         assert body["journey"]["arr"] == expected.arr
         _, _, snap = fetch(port, "/resilience")
         assert snap["deadline_exceeded"] == 1
-
-
-class TestClockSkew:
-    def test_clock_skew_eats_budget_maps_to_504(self, request, seed):
-        graph = make_random_route_graph(random.Random(seed), 10, 7)
-        planner = TTLPlanner(graph)
-        u, v, _ = feasible_pair(graph, planner)
-        plan = FaultPlan(
-            rules=[
-                FaultRule(site="clock", kind="clock_skew", seconds=10.0,
-                          times=1)
-            ],
-            seed=seed,
-        )
-        _, port = start_service(
-            request, planner, ResilienceConfig(deadline_ms=100.0), plan
-        )
-        status, _, _ = fetch(port, f"/eap?from={u}&to={v}&t=0")
-        assert status == 504
-        status, _, _ = fetch(port, f"/eap?from={u}&to={v}&t=0")
-        assert status == 200
 
 
 class TestSaturation:
     def test_saturated_gate_sheds_429_and_readiness_503(
         self, request, seed
     ):
-        graph = make_random_route_graph(random.Random(seed), 10, 7)
-        planner = TTLPlanner(graph)
-        u, v, _ = feasible_pair(graph, planner)
-        plan = FaultPlan(
-            rules=[
-                # A lock-hold spike: the admitted request sits on the
-                # planner lock while the gate stays full behind it.
-                FaultRule(site="service.lock", kind="latency",
-                          seconds=1.0, times=1)
-            ],
-            seed=seed,
-        )
+        graph = graph_for(seed)
+        u, v, _ = feasible_pair(graph)
         config = ResilienceConfig(
             deadline_ms=10_000.0,
             max_inflight=1,
             retry_after_s=2.0,
             shed_grace_s=0.5,
         )
-        _, port = start_service(request, planner, config, plan)
+        # The one admitted request sits in a 1 s plan while the gate
+        # stays full behind it.
+        _, port = start_service(
+            request, SlowTTL(graph, delay_s=1.0, times=1), config
+        )
 
         slow_result = {}
 
@@ -204,22 +144,16 @@ class TestSaturation:
 
 class TestPreReady:
     def test_warming_service_answers_503_until_ready(self, request, seed):
-        graph = make_random_route_graph(random.Random(seed), 10, 7)
-        planner = TTLPlanner(graph)
-        plan = FaultPlan(
-            rules=[
-                FaultRule(site="service.preprocess", kind="latency",
-                          seconds=0.75, times=1)
-            ],
-            seed=seed,
-        )
         svc, port = start_service(
-            request, planner, ResilienceConfig(), plan, warm=False
+            request,
+            SlowTTL(graph_for(seed), warm_s=0.75),
+            ResilienceConfig(),
+            warm=False,
         )
 
         status, _, body = fetch(port, "/healthz")
         assert status == 200
-        if not svc.ready:  # raced only if warm-up beat us despite the fault
+        if not svc.ready:  # raced only if warm-up beat us despite the delay
             assert body["ready"] is False
             status, headers, body = fetch(port, "/healthz/ready")
             assert status == 503
@@ -240,92 +174,17 @@ class TestPreReady:
         assert fetch(port, "/healthz")[2]["ready"] is True
 
 
-class TestBreakerDegradation:
-    def test_tripped_breaker_serves_frozen_answers_then_recovers(
-        self, request, seed
-    ):
-        graph = make_random_route_graph(random.Random(seed), 10, 7)
-        engine = LiveOverlayEngine(graph)
-        frozen = TTLPlanner(graph)
-        u, v, frozen_journey = feasible_pair(graph, frozen)
-
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            window=8,
-            min_samples=2,
-            failure_threshold=0.5,
-            slow_threshold_s=0.05,
-            cooldown_s=60.0,
-            clock=clock,
-        )
-        plan = FaultPlan(
-            rules=[
-                FaultRule(site="live.exact", kind="latency",
-                          seconds=0.1, times=2)
-            ],
-            seed=seed,
-        )
-        _, port = start_service(
-            request, engine, ResilienceConfig(deadline_ms=10_000.0),
-            plan, breaker=breaker,
-        )
-
-        # Disrupt the trip the frozen journey rides, so exact overlay
-        # answers can genuinely differ from frozen ones.
-        disrupted_trip = frozen_journey.path[0][4]
-        post(port, "/live/events",
-             {"kind": "delay", "trip_id": disrupted_trip, "delay": 300})
-        exact = engine.earliest_arrival(u, v, 0)
-
-        # Two slow exact answers feed the breaker past its threshold.
-        for _ in range(2):
-            status, _, body = fetch(port, f"/eap?from={u}&to={v}&t=0")
-            assert status == 200
-            assert body["degraded"] is False
-            if exact is None:
-                assert body["journey"] is None
-            else:
-                assert body["journey"]["arr"] == exact.arr
-        assert breaker.state == "open"
-
-        # Tripped: answers come from the frozen timetable, flagged.
-        status, _, body = fetch(port, f"/eap?from={u}&to={v}&t=0")
-        assert status == 200
-        assert body["degraded"] is True
-        assert body["journey"]["arr"] == frozen_journey.arr
-        _, _, snap = fetch(port, "/resilience")
-        assert snap["degraded_served"] >= 1
-        assert snap["breaker"]["state"] == "open"
-
-        # Cooldown elapses (fake clock); the latency faults are
-        # exhausted, so the half-open probe is fast and closes the
-        # circuit — answers are exact (overlay) again.
-        clock.advance(60.0)
-        status, _, body = fetch(port, f"/eap?from={u}&to={v}&t=0")
-        assert status == 200
-        assert body["degraded"] is False
-        if exact is None:
-            assert body["journey"] is None
-        else:
-            assert body["journey"]["arr"] == exact.arr
-        assert breaker.state == CLOSED
-
-
 class TestInjectedError:
     def test_injected_exception_maps_to_500_and_server_survives(
         self, request, seed
     ):
-        graph = make_random_route_graph(random.Random(seed), 10, 7)
-        planner = TTLPlanner(graph)
-        u, v, _ = feasible_pair(graph, planner)
-        plan = FaultPlan(
-            rules=[
-                FaultRule(site="planner.query", kind="error", times=1,
-                          message="chaos monkey")
-            ],
-            seed=seed,
+        graph = graph_for(seed)
+        u, v, _ = feasible_pair(graph)
+        _, port = start_service(
+            request,
+            SlowTTL(graph, error=RuntimeError("chaos monkey"), times=1),
+            ResilienceConfig(),
         )
-        _, port = start_service(request, planner, ResilienceConfig(), plan)
         status, headers, body = fetch(port, f"/eap?from={u}&to={v}&t=0")
         assert status == 500
         assert headers["Content-Type"] == "application/json"

@@ -35,9 +35,10 @@ from repro.core import TTLPlanner, build_index
 from repro.datasets import load_dataset
 from repro.federation import build_federation, region_map_from_names
 from repro.federation.serve import FederationSupervisor
-from repro.resilience import FaultPlan, FaultRule, ResilienceConfig
+from repro.resilience import ResilienceConfig
 from repro.service import PlannerService
 from repro.serving import ServingSupervisor
+from tests.conftest import SlowPlanner
 
 try:
     from repro.serving.http import (
@@ -158,15 +159,9 @@ class TestHostileInput:
 
 
 def slow_service(line_graph, seconds, **config):
-    plan = FaultPlan(
-        rules=[FaultRule(site="planner.query", kind="latency",
-                         seconds=seconds)],
-        seed=1,
-    )
     svc = PlannerService(
-        TTLPlanner(line_graph),
+        SlowPlanner.of(TTLPlanner)(line_graph, delay_s=seconds),
         resilience=ResilienceConfig(**config),
-        fault_plan=plan,
     )
     return svc, svc.start()
 

@@ -24,7 +24,7 @@ import pytest
 from repro.core import build_index
 from repro.errors import SerializationError
 from repro.live import LiveOverlayEngine
-from repro.resilience import FaultPlan, FaultRule, ResilienceConfig
+from repro.resilience import ResilienceConfig
 from repro.serving import (
     JournalFollower,
     LiveJournal,
@@ -33,7 +33,7 @@ from repro.serving import (
     scan_frames,
 )
 from repro.serving.journal import MAGIC, _FRAME, apply_record
-from tests.conftest import make_random_route_graph
+from tests.conftest import SlowPlanner, make_random_route_graph
 
 
 def get(port, path):
@@ -558,24 +558,16 @@ class TestGracefulDrain:
     def test_drain_completes_inflight_and_exits_zero(self, tmp_path):
         """SIGTERM-drain under load: every request that a worker
         accepted completes (no resets), workers exit 0, the journal is
-        durable afterwards.  An injected per-query latency keeps
-        requests in flight across the SIGTERM instant."""
+        durable afterwards.  A 0.15 s plan keeps requests in flight
+        across the SIGTERM instant."""
         graph = make_random_route_graph(random.Random(31), 10, 5)
         index = build_index(graph)
-        plan = FaultPlan(
-            rules=[
-                FaultRule(
-                    site="planner.query", kind="latency", seconds=0.15
-                )
-            ],
-            seed=7,
-        )
+        slow_live = SlowPlanner.of(LiveOverlayEngine)
         journal_path = os.fspath(tmp_path / "drain.wal")
         supervisor = ServingSupervisor(
-            lambda: LiveOverlayEngine(graph, index=index),
+            lambda: slow_live(graph, index=index, delay_s=0.15),
             workers=2,
             resilience=ResilienceConfig(),
-            fault_plan=plan,
             journal_path=journal_path,
             heartbeat_interval_s=0.1,
         )

@@ -297,7 +297,6 @@ class TestResilienceEndpoints:
         _, port = service
         status, body = get(port, "/resilience")
         assert status == 200
-        assert body["enabled"] is True
         assert body["deadline_exceeded"] == 0
         admission = body["admission"]
         assert admission["shed"] == 0
@@ -741,3 +740,72 @@ class TestBatchEndpoint:
                 {"kind": "one_to_many", "source": 0, "targets": [1], "t": 0},
             )
         assert err.value.code == 404
+
+
+class TestLiveBatch:
+    """A live service answers ``/v1/batch`` for the live timetable, not
+    for the sealed index underneath it."""
+
+    def test_batch_follows_live_events(self):
+        import random
+
+        from repro.algorithms.temporal_dijkstra import earliest_arrival_search
+        from repro.live import LiveOverlayEngine
+        from repro.live.events import event_from_dict
+        from repro.live.overlay import OverlayTimetable, PatchSet
+        from repro.resilience import ResilienceConfig
+        from repro.timeutil import INF
+        from tests.conftest import make_random_route_graph
+
+        graph = make_random_route_graph(random.Random(23), 10, 7)
+
+        def arrivals(timetable, source):
+            eat, _ = earliest_arrival_search(timetable, source, 0)
+            return {str(v): a if a < INF else None for v, a in enumerate(eat)}
+
+        def cancelled(trip):
+            event = event_from_dict({"kind": "cancel", "trip_id": trip})
+            return OverlayTimetable(graph, PatchSet.compile(graph, [event]))
+
+        # A cancellation that moves some arrival from some source.
+        source, trip = next(
+            (s, trip)
+            for trip in sorted(graph.trips)
+            for s in range(graph.n)
+            if arrivals(cancelled(trip), s) != arrivals(graph, s)
+        )
+        targets = list(range(graph.n))
+        requests = {
+            "one_to_many": {"kind": "one_to_many", "source": source,
+                            "targets": targets, "t": 0},
+            "matrix": {"kind": "matrix", "sources": [source],
+                       "targets": targets, "t": 0},
+            "isochrone": {"kind": "isochrone", "source": source, "t": 0,
+                          "budget": 10**6},
+        }
+        engine = LiveOverlayEngine(graph)
+        svc = PlannerService(
+            engine, resilience=ResilienceConfig(cache_size=64)
+        )
+        port = svc.start(port=0)
+        try:
+            def ask():
+                return {
+                    kind: post(port, "/v1/batch", body)[1]["data"]
+                    for kind, body in requests.items()
+                }
+
+            before = ask()
+            assert before["one_to_many"]["arrivals"] == arrivals(graph, source)
+            post(port, "/live/events", {"kind": "cancel", "trip_id": trip})
+            after = ask()
+            expected = arrivals(engine.overlay, source)
+            assert expected != arrivals(graph, source)
+            assert after["one_to_many"]["arrivals"] == expected
+            assert after["matrix"]["matrix"] == {str(source): expected}
+            reachable = sorted(
+                (a, int(v)) for v, a in expected.items() if a is not None
+            )
+            assert after["isochrone"]["stations"] == [v for _, v in reachable]
+        finally:
+            svc.stop()
