@@ -71,7 +71,7 @@ def _measure_resilience_overhead(min_samples=400, warmup=50):
     queries = CACHE.queries(DATASET)
     reps = max(1, -(-min_samples // len(queries)))  # ceil division
     paths = [
-        f"/eap?from={q.source}&to={q.destination}&t={q.t_start}"
+        f"/v1/eap?from={q.source}&to={q.destination}&t={q.t_start}"
         for q in queries
     ]
     service = PlannerService(CACHE.planner(DATASET, "TTL"))

@@ -5,11 +5,12 @@ Launches ``repro-ttl serve <dataset> --workers 2 --mmap --index <path>``
 as a subprocess, then asserts the whole redesign in one pass:
 
 1. both workers report alive in ``/v1/healthz``;
-2. ``/v1/eap`` answers arrive in the versioned envelope and the
-   legacy ``/eap`` path still answers (with a ``Deprecation`` header);
+2. ``/v1/eap`` answers arrive in the versioned envelope, and the bare
+   unversioned ``/eap`` answers 404 (no response carries a
+   ``Deprecation`` header);
 3. ``/v1/batch`` answers a one-to-many request;
 4. SIGKILL of one worker is followed by a respawn (fresh pid, same
-   worker id) and the aggregated ``/metrics`` counters never move
+   worker id) and the aggregated ``/v1/metrics`` counters never move
    backwards across the kill.
 
 A second phase starts two single-process ``--live`` servers — one
@@ -36,6 +37,7 @@ import signal
 import subprocess
 import sys
 import time
+import urllib.error
 import urllib.request
 
 SERVE_LINE = re.compile(r"http://127\.0\.0\.1:(\d+)")
@@ -68,8 +70,8 @@ def alive_workers(port):
 
 
 def cluster_totals(port):
-    body, _ = get(port, "/metrics")
-    return body["cluster"]["totals"]
+    body, _ = get(port, "/v1/metrics")
+    return body["data"]["cluster"]["totals"]
 
 
 def wait_for(predicate, timeout_s, what):
@@ -223,13 +225,18 @@ def main(argv=None) -> int:
         )
         print(f"workers alive: {workers}")
 
-        # Versioned envelope, and the legacy surface still answers.
+        # Versioned envelope; the unversioned surface is gone.
         body, headers = get(port, "/v1/eap?from=0&to=5&t=28800")
         assert set(body) >= {"data", "meta"}, body
         assert body["meta"]["worker"] in workers, body["meta"]
-        legacy, legacy_headers = get(port, "/eap?from=0&to=5&t=28800")
-        assert legacy_headers.get("Deprecation") == "true", legacy_headers
         assert "Deprecation" not in headers, headers
+        try:
+            get(port, "/eap?from=0&to=5&t=28800")
+        except urllib.error.HTTPError as err:
+            assert err.code == 404, err.code
+            assert "Deprecation" not in err.headers, dict(err.headers)
+        else:
+            raise SystemExit("unversioned /eap still answers")
 
         stations, _ = get(port, "/v1/stations")
         n = len(stations["data"]["stations"])

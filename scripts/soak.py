@@ -315,17 +315,17 @@ def run_soak(args) -> int:
                 "delay": rng.randrange(60, 900),
                 "expires_at": clock + rng.randrange(1800, 7200),
             }
-            _post(control, "/live/events", body)
+            _post(control, "/v1/live/events", body)
         elif kind < 0.9:
             body = {
                 "kind": "cancel",
                 "trip_id": rng.choice(trip_ids),
                 "expires_at": clock + rng.randrange(1800, 7200),
             }
-            _post(control, "/live/events", body)
+            _post(control, "/v1/live/events", body)
         else:
             clock += rng.randrange(60, 300)
-            _post(control, "/live/advance", {"now": clock})
+            _post(control, "/v1/live/advance", {"now": clock})
         appended = time.monotonic()
         while not supervisor.converged():
             if time.monotonic() - appended > 30:

@@ -70,11 +70,8 @@ from repro.core import (
     build_index_brute_force,
     compress_index,
     degree_order,
-    eat_matrix,
     hub_order,
-    isochrone,
     load_index,
-    one_to_many_eat,
     random_order,
     save_index,
 )
@@ -140,9 +137,6 @@ __all__ = [
     "GroupView",
     # batched queries
     "batch_plan",
-    "one_to_many_eat",
-    "eat_matrix",
-    "isochrone",
     # prefork serving
     "ServingSupervisor",
     "Scoreboard",

@@ -550,8 +550,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         planner = LiveOverlayEngine(graph)
         endpoints = (
-            "/stations /eap /ldp /sdp /healthz /metrics /resilience "
-            "/live/events /live/stats /live/advance /live/clear"
+            "stations eap ldp sdp healthz metrics resilience "
+            "live/events live/stats live/advance live/clear"
         )
     else:
         if args.index:
@@ -559,17 +559,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             planner = TTLPlanner(graph, index=index)
         else:
             planner = TTLPlanner(graph, build_jobs=args.build_jobs)
-        endpoints = (
-            "/stations /eap /ldp /sdp /profile /healthz /metrics "
-            "/resilience"
-        )
+        endpoints = "stations eap ldp sdp profile healthz metrics resilience"
     service = PlannerService(planner, resilience=config)
     port = service.start(host=args.host, port=args.port, warm=not args.no_warm)
     if args.no_warm:
-        print("index building in the background; /healthz shows progress")
+        print("index building in the background; /v1/healthz shows progress")
+    endpoints = " ".join(f"/v1/{name}" for name in endpoints.split())
     print(f"serving {args.name} on http://{args.host}:{port} "
-          f"(endpoints, preferably under /v1: {endpoints}; "
-          f"Ctrl-C stops)",
+          f"(endpoints: {endpoints}; Ctrl-C stops)",
           flush=True)
     try:
         import time as _time
@@ -842,7 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-warm",
         action="store_true",
         help="start serving immediately and build the index in the "
-        "background (/healthz reports build progress; queries answer "
+        "background (/v1/healthz reports build progress; queries answer "
         "503 until ready)",
     )
     p.add_argument(

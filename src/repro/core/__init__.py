@@ -40,7 +40,7 @@ from repro.core.serialize import (
 from repro.core.multiday import MultiDayPlanner, WeeklyCalendar
 from repro.core.profile_queries import oracle_profile, ttl_profile
 from repro.core.verify import VerificationReport, verify_index
-from repro.core.batch import batch_plan, eat_matrix, isochrone, one_to_many_eat
+from repro.core.batch import batch_plan
 from repro.core.kernels import vectorized_available
 
 __all__ = [
@@ -75,8 +75,5 @@ __all__ = [
     "verify_index",
     "VerificationReport",
     "batch_plan",
-    "one_to_many_eat",
-    "eat_matrix",
-    "isochrone",
     "vectorized_available",
 ]

@@ -14,16 +14,13 @@ columnar work per source, independent of target count), falling back
 to the scalar per-target merge otherwise.  ``/v1/batch`` routes here.
 :func:`batch_search` gives the same answers by one earliest-arrival
 search per source over a timetable that no index describes — a live
-service's overlay.
-
-The three historical entry points (``one_to_many_eat``,
-``eat_matrix``, ``isochrone``) delegate to :func:`batch_plan` and emit
-``DeprecationWarning``.
+service's overlay.  :func:`batch_answer` shapes any per-source row
+function into the per-kind answers (the federation router's rows are
+stitched across region workers).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import (
     Callable,
     Dict,
@@ -72,7 +69,7 @@ def batch_plan(
     def row(source: int, targets: Iterable[int], t: int) -> Row:
         return _one_to_many(index, source, targets, t, vectorized)
 
-    return [_answer(request, index.graph.n, row) for request in requests]
+    return [batch_answer(request, index.graph.n, row) for request in requests]
 
 
 def batch_search(
@@ -87,7 +84,7 @@ def batch_search(
         eat, _ = earliest_arrival_search(graph, source, t)
         return {v: eat[v] if eat[v] < INF else None for v in targets}
 
-    return [_answer(request, graph.n, row) for request in requests]
+    return [batch_answer(request, graph.n, row) for request in requests]
 
 
 def _validate(n: int, requests: Sequence[BatchQuery]) -> None:
@@ -98,7 +95,7 @@ def _validate(n: int, requests: Sequence[BatchQuery]) -> None:
                 raise QueryError(f"unknown station: {station}")
 
 
-def _answer(
+def batch_answer(
     request: BatchQuery,
     n: int,
     row: Callable[[int, Iterable[int], int], Row],
@@ -145,79 +142,4 @@ def _one_to_many(
             out_list, index.in_label_groups(target), source, target, t
         )
         result[target] = sketch.arr if sketch is not None else None
-    return result
-
-
-# ----------------------------------------------------------------------
-# Legacy entry points (delegating, deprecated)
-# ----------------------------------------------------------------------
-
-
-def _deprecated(name: str) -> None:
-    warnings.warn(
-        f"repro.core.batch.{name} is deprecated; use batch_plan with "
-        f"repro.query.BatchQuery instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def one_to_many_eat(
-    index: TTLIndex, source: int, targets: Iterable[int], t: int
-) -> Dict[int, Optional[int]]:
-    """Deprecated: earliest arrivals from ``source`` to each target;
-    ``None`` where unreachable.  Use :func:`batch_plan`."""
-    _deprecated("one_to_many_eat")
-    [result] = batch_plan(
-        index,
-        [
-            BatchQuery(
-                kind="one_to_many",
-                sources=(source,),
-                targets=tuple(targets),
-                t=t,
-            )
-        ],
-    )
-    return result
-
-
-def eat_matrix(
-    index: TTLIndex,
-    sources: Iterable[int],
-    targets: Iterable[int],
-    t: int,
-) -> Dict[Tuple[int, int], Optional[int]]:
-    """Deprecated: earliest-arrival matrix between station sets.  Use
-    :func:`batch_plan`."""
-    _deprecated("eat_matrix")
-    [result] = batch_plan(
-        index,
-        [
-            BatchQuery(
-                kind="matrix",
-                sources=tuple(sources),
-                targets=tuple(targets),
-                t=t,
-            )
-        ],
-    )
-    return result
-
-
-def isochrone(
-    index: TTLIndex, source: int, t: int, budget: int
-) -> List[int]:
-    """Deprecated: stations reachable within ``budget`` seconds of
-    departing no sooner than ``t``, sorted by arrival time.  Use
-    :func:`batch_plan`."""
-    _deprecated("isochrone")
-    [result] = batch_plan(
-        index,
-        [
-            BatchQuery(
-                kind="isochrone", sources=(source,), t=t, budget=budget
-            )
-        ],
-    )
     return result

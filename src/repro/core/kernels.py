@@ -664,7 +664,7 @@ def one_to_all_arrivals(index, source: int, t: int):
 def one_to_many_values(
     index, source: int, targets: Iterable[int], t: int
 ) -> Dict[int, Optional[int]]:
-    """Vectorized twin of ``batch.one_to_many_eat`` (values only —
+    """Vectorized twin of the scalar ``batch._one_to_many`` (values only —
     identical because the minimum candidate arrival is unique
     regardless of merge order)."""
     arrivals = one_to_all_arrivals(index, source, t)

@@ -18,7 +18,9 @@ Process layout (one :class:`FederationSupervisor`):
   workers (``out`` on the source shard, ``close`` on the target shard,
   plus the mirrored pair for the canonical departure).  ``/v1/batch``
   splits its targets by region, reuses one ``out`` per remote region,
-  and merges.
+  and merges.  Requests are parsed and answers shaped by
+  :mod:`repro.serving.api`, the functions the workers use, so the
+  router's bodies and errors are theirs.
 
 Workers keep the prefork contract from :mod:`repro.serving`: sockets
 are bound by the supervisor before any fork (so a respawned worker
@@ -34,29 +36,20 @@ import json
 import signal
 import socket
 import threading
-import time
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.algorithms.profiles import ParetoProfile
+from repro.core.batch import Row, batch_answer
 from repro.core.order import graph_digest
-from repro.errors import (
-    FederationError,
-    RequestValidationError,
-    ServiceNotReady,
-)
+from repro.errors import FederationError, ServiceNotReady
 from repro.federation.manifest import FederationManifest
 from repro.federation.stitch import FederatedPlanner, load_federation
 from repro.graph.timetable import TimetableGraph
 from repro.journey import Journey
+from repro.query import QUERY_TYPES
 from repro.resilience import ResilienceConfig
-from repro.serving.http import (
-    HttpServer,
-    Request,
-    Response,
-    error_body,
-    error_response,
-    json_response,
-)
+from repro.serving import api
+from repro.serving.http import HttpServer, Request, Response, error_response
 from repro.serving.scoreboard import Scoreboard
 from repro.serving.supervisor import ServingSupervisor
 from repro.timeutil import INF, NEG_INF
@@ -69,126 +62,103 @@ class FederationWorkerRole:
     """Answers the internal ``POST /fed/*`` seam primitives.
 
     Attached to a worker's :class:`~repro.service.PlannerService` as
-    ``service.fed``; calls arrive under the service lock with readiness
-    already checked.  Bodies and responses are small JSON dicts — the
-    station-keyed maps use string keys (JSON objects cannot key by
-    int).
+    ``service.fed``; the service routes ``POST /fed<name>`` to
+    ``primitives[name]``, which gets the JSON body under the service
+    lock with readiness already checked.  Bodies and answers are small
+    JSON dicts — the station-keyed maps use string keys (JSON objects
+    cannot key by int).
     """
 
     def __init__(self, planner: FederatedPlanner, region: int) -> None:
         self.planner = planner
         self.region = region
+        #: ``/fed`` subpath -> primitive (JSON body in, JSON answer out).
+        self.primitives: Dict[str, Callable[[dict], dict]] = {
+            "/info": self.info,
+            "/out": self.out,
+            "/eap_close": self.eap_close,
+            "/back": self.back,
+            "/ldp_close": self.ldp_close,
+            "/close_many": self.close_many,
+            "/profile_out": self.profile_out,
+            "/profile_close": self.profile_close,
+            "/one_to_many": self.one_to_many,
+        }
 
-    def handle(self, subpath: str, body: dict):
-        planner = self.planner
-        if subpath == "/info":
-            manifest = planner.manifest
-            entry = manifest.region_entry(self.region)
-            return {
-                "region": self.region,
-                "stations": len(entry.stops),
-                "borders": len(
-                    planner.borders_by_region.get(self.region, [])
-                ),
-                "epoch": manifest.epoch,
-                "labels": entry.labels,
-            }
-        if subpath == "/out":
-            t2 = planner.reach_out(
-                _int_field(body, "u"),
-                _int_field(body, "t"),
-                _int_field(body, "target_region"),
-            )
-            return {"t2": {str(b2): arr for b2, arr in t2.items()}}
-        if subpath == "/eap_close":
-            arr = planner.eap_close(
-                _int_field(body, "v"), _station_map(body, "t2")
-            )
-            return {"arr": None if arr >= INF else arr}
-        if subpath == "/back":
-            s1 = planner.reach_back(
-                _int_field(body, "v"),
-                _int_field(body, "t"),
-                _int_field(body, "source_region"),
-            )
-            return {"s1": {str(b1): dep for b1, dep in s1.items()}}
-        if subpath == "/ldp_close":
-            dep = planner.ldp_close(
-                _int_field(body, "u"), _station_map(body, "s1")
-            )
-            return {"dep": None if dep <= NEG_INF else dep}
-        if subpath == "/close_many":
-            t2 = _station_map(body, "t2")
-            arrivals = {}
-            for v in _int_list_field(body, "targets"):
-                arr = planner.eap_close(v, t2)
-                arrivals[str(v)] = None if arr >= INF else arr
-            return {"arrivals": arrivals}
-        if subpath == "/profile_out":
-            candidates = planner.profile_out(
-                _int_field(body, "u"),
-                _int_field(body, "t"),
-                _int_field(body, "t_end"),
-                _int_field(body, "target_region"),
-            )
-            return {"candidates": [list(c) for c in candidates]}
-        if subpath == "/profile_close":
-            candidates = [
-                (int(dep), int(b2), int(a2))
-                for dep, b2, a2 in body.get("candidates", [])
-            ]
-            pairs = planner.profile_close(
-                _int_field(body, "v"),
-                _int_field(body, "t_end"),
-                candidates,
-            )
-            return {"pairs": [list(p) for p in pairs]}
-        if subpath == "/one_to_many":
-            arrivals = planner.one_to_many(
-                _int_field(body, "source"),
-                _int_list_field(body, "targets"),
-                _int_field(body, "t"),
-            )
-            return {
-                "arrivals": {str(v): arr for v, arr in arrivals.items()}
-            }
-        raise RequestValidationError(
-            f"unknown federation primitive: {subpath!r}",
-            hint="expected one of /info /out /eap_close /back "
-            "/ldp_close /close_many /profile_out /profile_close "
-            "/one_to_many",
+    def info(self, body: dict) -> dict:
+        manifest = self.planner.manifest
+        entry = manifest.region_entry(self.region)
+        borders = self.planner.borders_by_region.get(self.region, [])
+        return {
+            "region": self.region,
+            "stations": len(entry.stops),
+            "borders": len(borders),
+            "epoch": manifest.epoch,
+            "labels": entry.labels,
+        }
+
+    def out(self, body: dict) -> dict:
+        t2 = self.planner.reach_out(
+            api.int_field(body, "u"),
+            api.int_field(body, "t"),
+            api.int_field(body, "target_region"),
         )
+        return {"t2": {str(b2): arr for b2, arr in t2.items()}}
 
-
-def _station_map(body: dict, name: str) -> Dict[int, int]:
-    """Parse a ``{station: time}`` JSON object field (string keys)."""
-    value = body.get(name)
-    if not isinstance(value, dict):
-        raise RequestValidationError(
-            f"body field {name!r} must be an object mapping station "
-            f"ids to times, got {value!r}",
-            field=name,
+    def eap_close(self, body: dict) -> dict:
+        arr = self.planner.eap_close(
+            api.int_field(body, "v"), api.station_map(body, "t2")
         )
-    try:
-        return {int(k): int(v) for k, v in value.items()}
-    except (TypeError, ValueError):
-        raise RequestValidationError(
-            f"body field {name!r} must map integer station ids to "
-            "integer times",
-            field=name,
-        ) from None
+        return {"arr": None if arr >= INF else arr}
 
+    def back(self, body: dict) -> dict:
+        s1 = self.planner.reach_back(
+            api.int_field(body, "v"),
+            api.int_field(body, "t"),
+            api.int_field(body, "source_region"),
+        )
+        return {"s1": {str(b1): dep for b1, dep in s1.items()}}
 
-def _int_field(body: dict, name: str) -> int:
-    from repro.service import _int_field as impl
+    def ldp_close(self, body: dict) -> dict:
+        dep = self.planner.ldp_close(
+            api.int_field(body, "u"), api.station_map(body, "s1")
+        )
+        return {"dep": None if dep <= NEG_INF else dep}
 
-    return impl(body, name)
+    def close_many(self, body: dict) -> dict:
+        t2 = api.station_map(body, "t2")
+        arrivals = {}
+        for v in api.int_list_field(body, "targets"):
+            arr = self.planner.eap_close(v, t2)
+            arrivals[str(v)] = None if arr >= INF else arr
+        return {"arrivals": arrivals}
 
+    def profile_out(self, body: dict) -> dict:
+        candidates = self.planner.profile_out(
+            api.int_field(body, "u"),
+            api.int_field(body, "t"),
+            api.int_field(body, "t_end"),
+            api.int_field(body, "target_region"),
+        )
+        return {"candidates": [list(c) for c in candidates]}
 
-def _int_list_field(body: dict, name: str) -> list:
-    from repro.service import _int_list_field as impl
+    def profile_close(self, body: dict) -> dict:
+        candidates = [
+            (int(dep), int(b2), int(a2))
+            for dep, b2, a2 in body.get("candidates", [])
+        ]
+        pairs = self.planner.profile_close(
+            api.int_field(body, "v"), api.int_field(body, "t_end"), candidates
+        )
+        return {"pairs": [list(p) for p in pairs]}
 
-    return impl(body, name)
+    def one_to_many(self, body: dict) -> dict:
+        arrivals = self.planner.one_to_many(
+            api.int_field(body, "source"),
+            api.int_list_field(body, "targets"),
+            api.int_field(body, "t"),
+        )
+        return {"arrivals": {str(v): arr for v, arr in arrivals.items()}}
 
 
 def _federation_worker_main(
@@ -514,12 +484,9 @@ class FederationSupervisor(ServingSupervisor):
         dep, arr, _ = best
         return Journey(u, v, dep, arr).to_dict()
 
-    def one_to_many(
-        self, source: int, targets: List[int], t: int
-    ) -> Dict[str, Optional[int]]:
+    def one_to_many(self, source: int, targets: Iterable[int], t: int) -> Row:
         """Batched federated earliest arrivals, one ``out`` per remote
-        region (string-keyed, matching JSON-serialized monolith
-        bodies)."""
+        region — the ``row`` of :func:`repro.core.batch.batch_answer`."""
         region_u = self.manifest.stop_region(source)
         by_region: Dict[int, List[int]] = {}
         for v in targets:
@@ -545,230 +512,116 @@ class FederationSupervisor(ServingSupervisor):
                 {"targets": stations, "t2": out["t2"]},
             )
             arrivals.update(data["arrivals"])
-        return arrivals
+        return {int(v): arr for v, arr in arrivals.items()}
 
 
 def _make_router_handler(sup: FederationSupervisor):
-    from repro.service import _int_param, _split_api_version
-
+    """The router's route table over :mod:`repro.serving.api`."""
     manifest = sup.manifest
     graph = sup.graph
     config = sup.resilience or ResilienceConfig()
 
-    class RouterHandler:
-        def handle(self, request: Request) -> Response:
-            versioned, path = _split_api_version(request.path)
-            started = time.perf_counter()
-            try:
-                if request.method == "GET":
-                    body = self._route_get(request, path)
-                else:
-                    body = self._route_post(request, path, versioned)
-            except ServiceNotReady as exc:
-                exc.retry_after = config.retry_after_s
-                return error_response(exc)
-            except Exception as exc:  # never kill the router thread
-                return error_response(exc)
-            if body is None:
-                return json_response(
-                    404, error_body(f"unknown path: {request.target}")
-                )
-            if isinstance(body, tuple):
-                return body  # a worker's response, proxied verbatim
-            headers = None
-            if versioned:
-                body = {
-                    "data": body,
-                    "meta": {
-                        "elapsed_us": int(
-                            (time.perf_counter() - started) * 1e6
-                        ),
-                        "degraded": False,
-                        # -1 marks a router-assembled (cross-region)
-                        # answer; proxied answers carry the region id.
-                        "worker": -1,
-                    },
+    def healthz(request: Request) -> dict:
+        rows = {row["worker"]: row for row in sup.scoreboard.workers()}
+        borders = manifest.borders_by_region()
+        shards = []
+        for entry in manifest.regions:
+            row = rows.get(entry.region, {})
+            shards.append(
+                {
+                    "region": entry.region,
+                    "stations": len(entry.stops),
+                    "borders": len(borders.get(entry.region, [])),
+                    "labels": entry.labels,
+                    "port": sup.worker_ports.get(entry.region),
+                    "pid": row.get("pid", 0),
+                    "generation": row.get("generation", 0),
+                    "alive": row.get("alive", False),
                 }
-            else:
-                headers = {"Deprecation": "true"}
-            return json_response(200, body, headers)
+            )
+        return {
+            "status": "ok",
+            "planner": "TTL-fed",
+            "federation": True,
+            "stations": graph.n,
+            "regions": manifest.num_regions,
+            "epoch": manifest.epoch,
+            "border_stops": len(manifest.border_stops),
+            "ready": all(s["pid"] > 0 for s in shards),
+            "shards": shards,
+        }
 
-        # --------------------------------------------------------------
+    def healthz_ready(request: Request) -> dict:
+        rows = sup.scoreboard.workers()
+        waiting = [row["worker"] for row in rows if row["pid"] <= 0]
+        if waiting:
+            raise ServiceNotReady(f"region workers {waiting} not ready")
+        return {"ready": True}
 
-        def _route_get(self, request: Request, path: str):
-            params = request.params
-            if path == "/healthz":
-                return self._healthz()
-            if path == "/healthz/live":
-                return {"status": "alive"}
-            if path == "/healthz/ready":
-                rows = sup.scoreboard.workers()
-                waiting = [
-                    row["worker"] for row in rows if row["pid"] <= 0
-                ]
-                if waiting:
-                    raise ServiceNotReady(
-                        f"region workers {waiting} not ready"
-                    )
-                return {"ready": True}
-            if path == "/metrics":
-                return self._metrics()
-            if path == "/stations":
-                return {
-                    "stations": [
-                        {"id": s, "name": graph.station_name(s)}
-                        for s in range(graph.n)
-                    ]
-                }
-            if path in ("/eap", "/ldp"):
-                u = _int_param(params, "from")
-                v = _int_param(params, "to")
-                t = _int_param(params, "t")
-                region_u = manifest.stop_region(u)
-                if region_u == manifest.stop_region(v):
-                    return self._proxy_intra(region_u, request)
-                sup.bump("cross_stitched")
-                journey = (
-                    sup.cross_eap(u, v, t)
-                    if path == "/eap"
-                    else sup.cross_ldp(u, v, t)
-                )
-                return {"journey": journey}
-            if path in ("/sdp", "/profile"):
-                u = _int_param(params, "from")
-                v = _int_param(params, "to")
-                t = _int_param(params, "t")
-                t_end = _int_param(params, "t_end")
-                region_u = manifest.stop_region(u)
-                if region_u == manifest.stop_region(v):
-                    return self._proxy_intra(region_u, request)
-                sup.bump("cross_stitched")
-                if path == "/sdp":
-                    return {"journey": sup.cross_sdp(u, v, t, t_end)}
-                return {"pairs": sup.cross_profile(u, v, t, t_end)}
-            return None
-
-        def _route_post(self, request: Request, path: str, versioned: bool):
-            if path != "/batch" or not versioned:
-                return None
-            return self._batch(request.json_body())
-
-        def _proxy_intra(self, region: int, request: Request) -> Response:
-            """Forward the original request whole to the owning worker
-            — the single-hop intra-region path."""
-            sup.bump("intra_proxied")
-            return sup.proxy(region, request.target)
-
-        def _healthz(self) -> dict:
-            rows = {
-                row["worker"]: row for row in sup.scoreboard.workers()
-            }
-            borders = manifest.borders_by_region()
-            shards = []
-            for entry in manifest.regions:
-                row = rows.get(entry.region, {})
-                shards.append(
-                    {
-                        "region": entry.region,
-                        "stations": len(entry.stops),
-                        "borders": len(borders.get(entry.region, [])),
-                        "labels": entry.labels,
-                        "port": sup.worker_ports.get(entry.region),
-                        "pid": row.get("pid", 0),
-                        "generation": row.get("generation", 0),
-                        "alive": row.get("alive", False),
-                    }
-                )
-            return {
-                "status": "ok",
-                "planner": "TTL-fed",
-                "federation": True,
-                "stations": graph.n,
+    def metrics(request: Request) -> dict:
+        with sup._stats_lock:
+            router = dict(sup.router_stats)
+        return {
+            "planner": "TTL-fed",
+            "federation": {
                 "regions": manifest.num_regions,
                 "epoch": manifest.epoch,
-                "border_stops": len(manifest.border_stops),
-                "ready": all(s["pid"] > 0 for s in shards),
-                "shards": shards,
-            }
+                "router": router,
+                "respawns": sup.respawns,
+            },
+            "cluster": {
+                "workers": sup.scoreboard.workers(),
+                "totals": sup.scoreboard.totals(),
+            },
+        }
 
-        def _metrics(self) -> dict:
-            with sup._stats_lock:
-                router = dict(sup.router_stats)
-            return {
-                "planner": "TTL-fed",
-                "federation": {
-                    "regions": manifest.num_regions,
-                    "epoch": manifest.epoch,
-                    "router": router,
-                    "respawns": sup.respawns,
-                },
-                "cluster": {
-                    "workers": sup.scoreboard.workers(),
-                    "totals": sup.scoreboard.totals(),
-                },
-            }
+    def point(kind: str):
+        def route(request: Request):
+            query, t, t_end = api.point_query(kind, request.params)
+            u, v = query.source, query.destination
+            region_u = manifest.stop_region(u)
+            if region_u == manifest.stop_region(v):
+                # The single-hop intra-region path: the owning worker
+                # answers the original request whole.
+                sup.bump("intra_proxied")
+                return sup.proxy(region_u, request.target)
+            sup.bump("cross_stitched")
+            if kind == "eap":
+                return {"journey": sup.cross_eap(u, v, t)}
+            if kind == "ldp":
+                return {"journey": sup.cross_ldp(u, v, t)}
+            if kind == "sdp":
+                return {"journey": sup.cross_sdp(u, v, t, t_end)}
+            return {"pairs": sup.cross_profile(u, v, t, t_end)}
 
-        def _batch(self, body: dict):
-            sup.bump("batch_requests")
-            kind = body.get("kind")
-            if kind not in ("one_to_many", "matrix", "isochrone"):
-                raise RequestValidationError(
-                    "body field 'kind' must be one of 'one_to_many', "
-                    f"'matrix', 'isochrone', got {kind!r}",
-                    field="kind",
-                )
-            t = _int_field(body, "t")
-            cap = config.max_batch_pairs
-            if kind == "one_to_many":
-                source = _int_field(body, "source")
-                targets = _int_list_field(body, "targets")
-                if len(targets) > cap:
-                    raise RequestValidationError(
-                        f"{len(targets)} targets exceed the batch cap "
-                        f"of {cap}",
-                        field="targets",
-                    )
-                return {
-                    "kind": kind,
-                    "source": source,
-                    "t": t,
-                    "arrivals": sup.one_to_many(source, targets, t),
-                }
-            if kind == "matrix":
-                sources = _int_list_field(body, "sources")
-                targets = _int_list_field(body, "targets")
-                if len(sources) * len(targets) > cap:
-                    raise RequestValidationError(
-                        f"{len(sources)}x{len(targets)} matrix exceeds "
-                        f"the batch cap of {cap} pairs",
-                        field="sources",
-                    )
-                matrix = {
-                    str(source): sup.one_to_many(source, targets, t)
-                    for source in sources
-                }
-                return {"kind": kind, "t": t, "matrix": matrix}
-            # isochrone
-            source = _int_field(body, "source")
-            budget = _int_field(body, "budget")
-            if graph.n > cap:
-                raise RequestValidationError(
-                    f"an isochrone sweeps all {graph.n} stations, "
-                    f"exceeding the batch cap of {cap}",
-                    field="kind",
-                )
-            arrivals = sup.one_to_many(source, list(range(graph.n)), t)
-            reachable = sorted(
-                (arr, int(station))
-                for station, arr in arrivals.items()
-                if arr is not None and arr - t <= budget
-            )
-            return {
-                "kind": kind,
-                "source": source,
-                "t": t,
-                "budget": budget,
-                "stations": [station for _, station in reachable],
-            }
+        return route
 
-    return RouterHandler().handle
+    def batch(request: Request) -> dict:
+        body = request.json_body()
+        sup.bump("batch_requests")
+        query = api.batch_query(body, graph.n, config.max_batch_pairs)
+        return api.batch_body(
+            query, batch_answer(query, graph.n, sup.one_to_many)
+        )
+
+    routes: api.Routes = {
+        ("GET", "/v1/healthz"): healthz,
+        ("GET", "/v1/healthz/live"): lambda request: {"status": "alive"},
+        ("GET", "/v1/healthz/ready"): healthz_ready,
+        ("GET", "/v1/metrics"): metrics,
+        ("GET", "/v1/stations"): lambda request: api.stations(graph),
+        **{("GET", f"/v1/{kind}"): point(kind) for kind in QUERY_TYPES},
+        ("POST", "/v1/batch"): batch,
+    }
+
+    def on_error(exc: Exception) -> Response:
+        if isinstance(exc, ServiceNotReady):
+            exc.retry_after = config.retry_after_s
+        return error_response(exc)
+
+    def handle(request: Request) -> Response:
+        # meta.worker -1 marks a router-assembled (cross-region)
+        # answer; proxied answers carry the region id.
+        return api.dispatch(routes, request, -1, on_error)
+
+    return handle

@@ -442,8 +442,8 @@ class FederatedPlanner(RoutePlanner):
     def one_to_many(
         self, source: int, targets: Iterable[int], t: int
     ) -> Dict[int, Optional[int]]:
-        """Federated one-to-many earliest arrivals (matches
-        :func:`repro.core.batch.one_to_many_eat` semantics)."""
+        """Federated one-to-many earliest arrivals (matches a
+        ``one_to_many`` :func:`repro.core.batch.batch_plan` answer)."""
         self._check_query(source, source)
         self.preprocess()
         result: Dict[int, Optional[int]] = {}

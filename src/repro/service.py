@@ -11,8 +11,8 @@ library, with production guard rails:
     service = PlannerService(TTLPlanner(load_dataset("Berlin")))
     service.start(port=8080)          # non-blocking (daemon thread)
 
-The current API is **versioned**: every endpoint answers under a
-``/v1`` prefix, where successful responses use a uniform envelope::
+Every endpoint answers under the ``/v1`` prefix, and every success is
+one envelope::
 
     {"data": <the result>, "meta": {"elapsed_us": ..., "degraded": ...,
                                     "worker": ...}}
@@ -20,12 +20,12 @@ The current API is **versioned**: every endpoint answers under a
 ``meta.elapsed_us`` is server-side handling time, ``meta.degraded`` is
 always ``false`` (answers are always exact; the key stays for wire
 compatibility), and ``meta.worker`` identifies the serving process
-under prefork multi-worker serving (:mod:`repro.serving`).  The bare
-legacy paths keep answering with their historical (un-enveloped)
-bodies but carry a ``Deprecation: true`` header; see ``docs/api.md``
-for the migration table.
+under prefork multi-worker serving (:mod:`repro.serving`).  Parsing,
+shaping and the route lookup live in :mod:`repro.serving.api`, shared
+with the federation router; a path outside the table, the bare
+unversioned ones included, answers 404.
 
-Query endpoints (GET, JSON responses, shown with the ``/v1`` prefix):
+Query endpoints (GET, JSON responses):
 
 * ``/v1/healthz``                          — liveness + planner identity
 * ``/v1/healthz/live``                     — bare liveness probe
@@ -54,18 +54,18 @@ disruption endpoints come alive, and ``/v1/batch`` answers each source
 with one earliest-arrival search over the live overlay (the sealed
 index does not know about disruptions):
 
-* ``GET  /live/events``   — registered (id, event) pairs
-* ``GET  /live/stats``    — fast-path / fallback / feed-skip counters
-* ``POST /live/events``   — body = one event dict; returns its id
-* ``POST /live/advance``  — body ``{"now": seconds}``; expires events
-* ``POST /live/clear``    — body ``{"id": n}`` or ``{}`` for all
+* ``GET  /v1/live/events``   — registered (id, event) pairs
+* ``GET  /v1/live/stats``    — fast-path / fallback / feed-skip counters
+* ``POST /v1/live/events``   — body = one event dict; returns its id
+* ``POST /v1/live/advance``  — body ``{"now": seconds}``; expires events
+* ``POST /v1/live/clear``    — body ``{"id": n}`` or ``{}`` for all
 
 Every query request runs through the
 :class:`~repro.resilience.ResilientExecutor` pipeline: a bounded
 in-flight admission gate (429 + ``Retry-After`` when shedding) and a
 per-request deadline (504 on expiry).
 
-Every error — any method, any version, any status — carries one JSON
+Every error — any method, any path, any status — carries one JSON
 shape: ``{"error": <message>, "field": <offending parameter or null>,
 "hint": <actionable suggestion or null>}``.  The CLI prints the same
 triple on stderr.  The full status-code contract:
@@ -98,7 +98,6 @@ import json
 import os
 import socket
 import threading
-import time
 from typing import Dict, Optional
 
 from repro.core.batch import batch_plan, batch_search
@@ -111,20 +110,16 @@ from repro.errors import (
 from repro.live.engine import LiveOverlayEngine
 from repro.live.events import event_from_dict
 from repro.planner import RoutePlanner
-from repro.query import BATCH_KINDS, BatchQuery, QueryRequest
+from repro.query import QUERY_TYPES, QueryRequest
 from repro.resilience import ResilienceConfig, ResilientExecutor
+from repro.serving import api
 from repro.serving.http import (
     HttpServer,
     Request,
     Response,
-    error_body,
     error_response,
     json_response,
 )
-
-
-#: The point-query endpoints (without the ``/v1`` prefix).
-_QUERY_PATHS = ("/eap", "/ldp", "/sdp", "/profile")
 
 
 class PlannerService:
@@ -207,9 +202,9 @@ class PlannerService:
             )
         self._epoch: Optional[str] = None
         self._epoch_override = epoch
-        #: Federation worker role (set by the federated serving path):
-        #: an object whose ``handle(subpath, body)`` answers the
-        #: internal ``POST /fed/*`` stitch primitives.
+        #: Federation worker role (set by the federated serving path
+        #: before :meth:`start`): its ``primitives`` map each internal
+        #: ``POST /fed/*`` stitch primitive to the function answering it.
         self.fed = None
         #: Serializes planner access against live overlay swaps.
         self.lock = threading.RLock()
@@ -417,45 +412,9 @@ class PlannerService:
             self._warm_thread = None
 
 
-def _int_param(params: Dict[str, str], name: str) -> int:
-    """Parse one required integer query parameter, naming the field
-    in the error so clients see exactly what to fix."""
-    if name not in params:
-        raise RequestValidationError(
-            f"missing required query parameter: {name!r}", field=name
-        )
-    try:
-        return int(params[name])
-    except (TypeError, ValueError):
-        raise RequestValidationError(
-            f"query parameter {name!r} must be an integer, "
-            f"got {params[name]!r}",
-            field=name,
-        ) from None
-
-
-def _int_field(body: dict, name: str) -> int:
-    """Parse one required integer JSON body field."""
-    if name not in body:
-        raise RequestValidationError(
-            f"missing required body field: {name!r}", field=name
-        )
-    value = body[name]
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise RequestValidationError(
-            f"body field {name!r} must be an integer, got {value!r}",
-            field=name,
-        )
-    try:
-        return int(value)
-    except ValueError:
-        raise RequestValidationError(
-            f"body field {name!r} must be an integer, got {value!r}",
-            field=name,
-        ) from None
-
-
 def _make_handler(service: PlannerService):
+    """The service's route table over :mod:`repro.serving.api`, as the
+    one ``handle(request)`` the transport calls."""
     planner = service.planner
     graph = planner.graph
     lock = service.lock
@@ -465,552 +424,360 @@ def _make_handler(service: PlannerService):
     scoreboard = service.scoreboard
     cache = service.cache
 
-    class Handler:
-        def handle(self, request: Request) -> Response:
-            versioned, path = _split_api_version(request.path)
-            started = time.perf_counter()
-            service.requests_handled += 1
-            try:
-                if request.method == "GET":
-                    body = self._route_get(path, request.params)
-                else:
-                    body = self._route_post(
-                        path, request.json_body(), versioned
-                    )
-            except ServiceNotReady as exc:
-                build = self._build_progress()
-                return error_response(
-                    exc, extra=None if build is None else {"build": build}
-                )
-            except Exception as exc:  # never kill the handler thread
-                return error_response(exc)
-            if body is None:
-                return json_response(
-                    404, error_body(f"unknown path: {request.target}")
-                )
-            headers = None
-            if versioned:
-                body = {
-                    "data": body,
-                    "meta": {
-                        "elapsed_us": int(
-                            (time.perf_counter() - started) * 1e6
-                        ),
-                        "degraded": False,
-                        "worker": service.worker_id,
-                    },
-                }
-            elif not path.startswith("/healthz"):
-                # Legacy unversioned query surface: still answers, but
-                # tells clients to move to /v1 (docs/api.md has the
-                # migration table).
-                headers = {"Deprecation": "true"}
-                if live is not None and path in _QUERY_PATHS:
-                    body["degraded"] = False  # the legacy live shape
-            return json_response(200, body, headers)
-
-        # --------------------------------------------------------------
-
-        def _build_progress(self):
-            """Build-farm progress payload while warming, else None."""
-            if service._ready.is_set():
-                return None
-            tracker = getattr(planner, "build_progress", None)
-            if tracker is None:
-                return None
-            return tracker.snapshot().as_dict()
-
-        def _require_ready(self) -> None:
-            if not service._ready.is_set():
-                reason = (
-                    f"preprocessing failed: {service._warm_error}"
-                    if service._warm_error is not None
-                    else "service is warming up (index still building)"
-                )
-                raise ServiceNotReady(
-                    reason, retry_after=config.retry_after_s
-                )
-            follower = service.journal_follower
-            if follower is not None and not follower.caught_up.is_set():
-                # A worker that has not replayed the live-event journal
-                # to its tail could serve pre-disruption answers; it
-                # must not report ready or answer queries until caught
-                # up (the replay-to-ready contract).
-                raise ServiceNotReady(
-                    "replaying live-event journal "
-                    f"(applied seq {follower.applied_seq})",
-                    retry_after=config.retry_after_s,
-                )
-
-        def _query(self, fn):
-            """Run a query through the resilience pipeline."""
-            self._require_ready()
-            result, _ = executor.run(fn, lock=lock)
-            return result
-
-        def _cache_key(self, kind, origin, destination, t, t_end=None,
-                       extra=()):
-            """Key for the answer cache, or None when caching is off.
-
-            Requires a ready service (the epoch fingerprints the built
-            index), so callers probe readiness first — exactly what a
-            cache-less request would do inside ``_query``.
-            """
-            if cache is None:
-                return None
-            self._require_ready()
-            generation = live.generation if live is not None else 0
-            return cache.make_key(
-                kind,
-                origin,
-                destination,
-                t,
-                epoch=service.cache_epoch(),
-                generation=generation,
-                t_end=t_end,
-                extra=extra,
-            )
-
-        def _cache_invalidate(self):
-            """Taint-driven sweep after a live mutation (caller holds
-            the service lock); see PlannerService.revalidate_cache."""
-            service.revalidate_cache()
-
-        def _plan_body(
-            self, request: QueryRequest, t: int, t_end: Optional[int]
-        ) -> dict:
-            """Answer one point-to-point query through the unified
-            :meth:`~repro.planner.RoutePlanner.plan` entry point.
-
-            ``t``/``t_end`` are the endpoint's raw parameters, kept as
-            the cache key's time fields (the taint certifier reads
-            them back as the query window — for LDP the single ``t``
-            is the latest arrival, which the *request* carries as
-            ``t_end``).
-            """
-            key = self._cache_key(
-                request.query_type,
-                request.source,
-                request.destination,
-                t,
-                t_end=t_end,
-            )
-            if key is not None:
-                hit = cache.get(key)
-                if hit is not None:
-                    return hit
-            result = self._query(lambda: planner.plan(request))
-            if request.query_type == "profile":
-                body = {"pairs": [list(pair) for pair in result.pairs]}
-            else:
-                journey = result.journey
-                body = {"journey": journey.to_dict() if journey else None}
-            if key is not None:
-                # ``static_ok`` marks answers that are pure functions of
-                # the sealed index — the live engine's fast path — which
-                # invalidation sweeps may re-key across generations
-                # after certifying them against the new patch.
-                static_ok = live is None or live.last_query_fast_path
-                cache.put(key, body, static_ok=static_ok, t_end=t_end)
-            return body
-
-        def _route_get(self, path: str, params: dict):
-            if path == "/healthz":
-                body = {
-                    "status": "ok",
-                    "planner": planner.name,
-                    "stations": graph.n,
-                    "live": live is not None,
-                    "ready": service._ready.is_set(),
-                    "preprocess_seconds": planner.preprocess_seconds,
-                }
-                build = self._build_progress()
-                if build is not None:
-                    body["build"] = build
-                if live is not None:
-                    with lock:
-                        body["now"] = live.now
-                        body["generation"] = live.generation
-                        body["live_generation"] = live.generation
-                        body["events"] = len(live.events())
-                follower = service.journal_follower
-                if follower is not None:
-                    journal_body = follower.snapshot()
-                    journal_body["role"] = "follower"
-                    journal_body["skipped"] = service.journal_skipped
-                    body["journal"] = journal_body
-                elif service.journal is not None:
-                    journal_body = service.journal.snapshot()
-                    journal_body["role"] = "writer"
-                    body["journal"] = journal_body
-                if scoreboard is not None:
-                    body["worker"] = service.worker_id
-                    body["workers"] = scoreboard.workers()
-                return body
-            if path == "/healthz/live":
-                return {"status": "alive"}
-            if path == "/healthz/ready":
-                self._require_ready()
-                if executor.admission.shedding:
-                    raise ServiceNotReady(
-                        "shedding load (admission gate saturated)",
-                        retry_after=config.retry_after_s,
-                    )
-                return {"ready": True}
-            if path == "/resilience":
-                body = executor.snapshot()
-                if cache is not None:
-                    body["cache"] = cache.snapshot()
-                return body
-            if path == "/metrics":
-                body = {"planner": planner.name}
-                metrics = getattr(planner, "metrics", None)
-                with lock:
-                    if metrics is not None:
-                        body["query_metrics"] = metrics.snapshot()
-                    if service._ready.is_set():
-                        index = getattr(planner, "index", None)
-                        if index is not None:
-                            body["index"] = {
-                                "num_labels": index.num_labels,
-                                "unfold_fallbacks": index.unfold_fallbacks,
-                                "store_bytes": index.store_bytes(),
-                            }
-                body["resilience"] = executor.snapshot()
-                if live is not None:
-                    body["live"] = {
-                        "generation": live.generation,
-                        "now": live.now,
-                        "journal_seq": service.journal_seq(),
-                    }
-                if cache is not None:
-                    body["cache"] = cache.snapshot()
-                if scoreboard is not None:
-                    # Fold this worker's very latest counters in before
-                    # aggregating, then sum live rows + retired totals
-                    # from shared memory — the cluster-wide view any
-                    # single worker can serve.
-                    service.publish_counters()
-                    body["cluster"] = {
-                        "worker": service.worker_id,
-                        "workers": scoreboard.workers(),
-                        "totals": scoreboard.totals(),
-                    }
-                return body
-            if path == "/stations":
-                return {
-                    "stations": [
-                        {"id": s, "name": graph.station_name(s)}
-                        for s in range(graph.n)
-                    ]
-                }
-            if path in _QUERY_PATHS:
-                kind = path[1:]
-                u = _int_param(params, "from")
-                v = _int_param(params, "to")
-                t = _int_param(params, "t")
-                windowed = kind in ("sdp", "profile")
-                t_end = _int_param(params, "t_end") if windowed else None
-                # LDP's single time parameter is the latest *arrival*,
-                # which QueryRequest models as the window end.
-                request = QueryRequest(
-                    kind,
-                    u,
-                    v,
-                    t=None if kind == "ldp" else t,
-                    t_end=t if kind == "ldp" else t_end,
-                )
-                return self._plan_body(request, t, t_end)
-            if path == "/live/events":
-                self._require_live()
-                with lock:
-                    events = live.events()
-                return {
-                    "events": [
-                        {"id": eid, "event": event.to_dict()}
-                        for eid, event in events
-                    ]
-                }
-            if path == "/live/stats":
-                self._require_live()
-                with lock:
-                    body = live.stats.snapshot()
-                    body["generation"] = live.generation
-                    body["now"] = live.now
-                    body["feed_skipped"] = live.feed_skipped
-                return body
+    def build_progress():
+        """Build-farm progress payload while warming, else None."""
+        if service._ready.is_set():
             return None
-
-        def _route_post(
-            self, path: str, body: dict, versioned: bool = False
-        ):
-            if path.startswith("/fed/"):
-                fed = service.fed
-                if fed is None:
-                    return None
-                self._require_ready()
-                with lock:
-                    return fed.handle(path[len("/fed"):], body)
-            if path == "/batch":
-                if not versioned:
-                    return None  # batch is /v1-only
-                return self._batch(body)
-            if path == "/live/events":
-                self._require_live()
-                self._require_ready()
-                self._require_writer(path)
-                event = event_from_dict(body)
-                with lock:
-                    event_id = live.apply_event(event)
-                    generation = live.generation
-                    self._cache_invalidate()
-                    seq = self._journal_append(
-                        {
-                            "op": "apply_event",
-                            "id": event_id,
-                            "event": event.to_dict(),
-                        }
-                    )
-                result = {"id": event_id, "generation": generation}
-                if seq is not None:
-                    result["seq"] = seq
-                return result
-            if path == "/live/advance":
-                self._require_live()
-                self._require_ready()
-                self._require_writer(path)
-                now = _int_field(body, "now")
-                with lock:
-                    current = live.now
-                    if now < current:
-                        raise RequestValidationError(
-                            f"'now' must not move backwards: {now} < "
-                            f"current live clock {current}",
-                            field="now",
-                            hint="the live clock is monotonic; POST a "
-                            "value >= the current clock (see GET "
-                            "/live/stats)",
-                        )
-                    live.advance_to(now)
-                    remaining = len(live.events())
-                    self._cache_invalidate()
-                    seq = self._journal_append({"op": "advance", "now": now})
-                result = {"now": now, "events": remaining}
-                if seq is not None:
-                    result["seq"] = seq
-                return result
-            if path == "/live/clear":
-                self._require_live()
-                self._require_ready()
-                self._require_writer(path)
-                with lock:
-                    if "id" in body:
-                        event_id = _int_field(body, "id")
-                        live.clear_event(event_id)
-                        cleared = 1
-                        record = {"op": "clear", "id": event_id}
-                    else:
-                        cleared = live.clear_all()
-                        record = {"op": "clear_all"}
-                    self._cache_invalidate()
-                    seq = self._journal_append(record)
-                result = {"cleared": cleared}
-                if seq is not None:
-                    result["seq"] = seq
-                return result
+        tracker = getattr(planner, "build_progress", None)
+        if tracker is None:
             return None
+        return tracker.snapshot().as_dict()
 
-        def _batch(self, body: dict):
-            """``POST /v1/batch`` — batched accessibility queries."""
-            index = getattr(planner, "index", None)
-            if index is None:
-                raise ValueError(
-                    f"{planner.name} does not expose a TTL index; "
-                    "batch queries need one"
-                )
-            key = None
-            t_raw = body.get("t")
-            if (
-                cache is not None
-                and isinstance(t_raw, int)
-                and not isinstance(t_raw, bool)
-            ):
-                # The canonical body is the key; origin/destination are
-                # sentinels (a batch spans many pairs, so invalidation
-                # cannot certify it per-pair — static_ok=False below
-                # makes any generation bump evict it).
-                key = self._cache_key(
-                    "batch",
-                    -1,
-                    -1,
-                    t_raw,
-                    extra=(json.dumps(body, sort_keys=True),),
-                )
-                hit = cache.get(key)
-                if hit is not None:
-                    return hit
-            kind = body.get("kind")
-            if kind not in BATCH_KINDS:
-                raise RequestValidationError(
-                    "body field 'kind' must be one of 'one_to_many', "
-                    f"'matrix', 'isochrone', got {kind!r}",
-                    field="kind",
-                    hint="see docs/api.md for the /v1/batch request "
-                    "shapes",
-                )
-            query = self._batch_query(kind, body)
-            if live is None:
-                answer = self._query(lambda: batch_plan(index, [query])[0])
-            else:
-                # The sealed index knows nothing of live events: search
-                # the overlay instead, one search per source.
-                answer = self._query(
-                    lambda: batch_search(live.overlay, [query])[0]
-                )
-            result = _batch_result_body(query, answer)
-            if key is not None:
-                cache.put(key, result, static_ok=False)
-            return result
-
-        def _batch_query(self, kind: str, body: dict) -> BatchQuery:
-            """Parse one ``/v1/batch`` body into a
-            :class:`~repro.query.BatchQuery`, enforcing the pair cap."""
-            t = _int_field(body, "t")
-            cap = config.max_batch_pairs
-            cap_hint = (
-                f"this server caps batch workloads at {cap} "
-                "source-target pairs (ResilienceConfig.max_batch_pairs); "
-                "split the request"
+    def require_ready() -> None:
+        if not service._ready.is_set():
+            reason = (
+                f"preprocessing failed: {service._warm_error}"
+                if service._warm_error is not None
+                else "service is warming up (index still building)"
             )
-            if kind == "one_to_many":
-                source = _int_field(body, "source")
-                targets = tuple(_int_list_field(body, "targets"))
-                if len(targets) > cap:
-                    raise RequestValidationError(
-                        f"{len(targets)} targets exceed the batch cap "
-                        f"of {cap}",
-                        field="targets",
-                        hint=cap_hint,
-                    )
-                return BatchQuery(
-                    kind=kind, sources=(source,), targets=targets, t=t
-                )
-            if kind == "matrix":
-                sources = tuple(_int_list_field(body, "sources"))
-                targets = tuple(_int_list_field(body, "targets"))
-                if len(sources) * len(targets) > cap:
-                    raise RequestValidationError(
-                        f"{len(sources)}x{len(targets)} matrix exceeds "
-                        f"the batch cap of {cap} pairs",
-                        field="sources",
-                        hint=cap_hint,
-                    )
-                return BatchQuery(
-                    kind=kind, sources=sources, targets=targets, t=t
-                )
-            # isochrone
-            source = _int_field(body, "source")
-            budget = _int_field(body, "budget")
-            if graph.n > cap:
-                raise RequestValidationError(
-                    f"an isochrone sweeps all {graph.n} stations, "
-                    f"exceeding the batch cap of {cap}",
-                    field="kind",
-                    hint=cap_hint,
-                )
-            return BatchQuery(
-                kind=kind, sources=(source,), t=t, budget=budget
+            raise ServiceNotReady(reason, retry_after=config.retry_after_s)
+        follower = service.journal_follower
+        if follower is not None and not follower.caught_up.is_set():
+            # A worker that has not replayed the live-event journal
+            # to its tail could serve pre-disruption answers; it
+            # must not report ready or answer queries until caught
+            # up (the replay-to-ready contract).
+            raise ServiceNotReady(
+                "replaying live-event journal "
+                f"(applied seq {follower.applied_seq})",
+                retry_after=config.retry_after_s,
             )
 
-        def _require_live(self) -> None:
-            if live is None:
-                raise ValueError(
-                    f"{planner.name} is not a live engine; start the "
-                    "service with a LiveOverlayEngine to use /live/*"
-                )
+    def require_live() -> None:
+        if live is None:
+            raise ValueError(
+                f"{planner.name} is not a live engine; start the "
+                "service with a LiveOverlayEngine to use /v1/live/*"
+            )
 
-        def _require_writer(self, path: str) -> None:
-            """Reject direct mutations on journal followers (HTTP 409).
+    def require_writer(path: str) -> None:
+        """Reject direct mutations on journal followers (HTTP 409).
 
-            Under prefork serving each worker only *follows* the
-            supervisor's journal; a mutation applied to one worker
-            would silently diverge the fleet.
-            """
-            coordinator = service.coordinator
-            if coordinator is not None:
-                raise ConflictError(
-                    "live mutations are coordinated by the supervisor "
-                    "under prefork serving; this worker only follows "
-                    "the journal",
-                    hint=f"POST to {coordinator}{path} (the journalled "
-                    "path, fanned out to every worker)",
-                )
+        Under prefork serving each worker only *follows* the
+        supervisor's journal; a mutation applied to one worker would
+        silently diverge the fleet.
+        """
+        coordinator = service.coordinator
+        if coordinator is not None:
+            raise ConflictError(
+                "live mutations are coordinated by the supervisor "
+                "under prefork serving; this worker only follows "
+                "the journal",
+                hint=f"POST to {coordinator}{path} (the journalled "
+                "path, fanned out to every worker)",
+            )
 
-        def _journal_append(self, record: dict) -> Optional[int]:
-            """Append a mutation record after it applied locally.
+    def run(fn):
+        """Run a query through the resilience pipeline."""
+        require_ready()
+        result, _ = executor.run(fn, lock=lock)
+        return result
 
-            Returns the assigned journal ``seq``, or ``None`` when this
-            service has no journal (single-process mode).  Called under
-            the planner lock so journal order matches apply order.
-            """
-            if service.journal is None:
-                return None
-            return service.journal.append(record)
+    def cache_key(kind, origin, destination, t, t_end=None, extra=()):
+        """Key for the answer cache, or None when caching is off.
 
-    return Handler().handle
-
-
-def _split_api_version(path: str):
-    """Strip the ``/v1`` prefix; returns ``(versioned, subpath)``."""
-    if path == "/v1":
-        return True, "/"
-    if path.startswith("/v1/"):
-        return True, path[3:]
-    return False, path
-
-
-def _int_list_field(body: dict, name: str) -> list:
-    """Parse one required list-of-station-ids JSON body field."""
-    if name not in body:
-        raise RequestValidationError(
-            f"missing required body field: {name!r}", field=name
+        Requires a ready service (the epoch fingerprints the built
+        index), so callers probe readiness first — exactly what a
+        cache-less request would do inside ``run``.
+        """
+        if cache is None:
+            return None
+        require_ready()
+        return cache.make_key(
+            kind,
+            origin,
+            destination,
+            t,
+            epoch=service.cache_epoch(),
+            generation=live.generation if live is not None else 0,
+            t_end=t_end,
+            extra=extra,
         )
-    value = body[name]
-    if not isinstance(value, list):
-        raise RequestValidationError(
-            f"body field {name!r} must be a list of station ids, "
-            f"got {value!r}",
-            field=name,
+
+    def plan_body(
+        request: QueryRequest, t: int, t_end: Optional[int]
+    ) -> dict:
+        """Answer one point-to-point query through the unified
+        :meth:`~repro.planner.RoutePlanner.plan` entry point; ``t`` /
+        ``t_end`` are the cache key's time fields
+        (:func:`~repro.serving.api.point_query`)."""
+        key = cache_key(
+            request.query_type,
+            request.source,
+            request.destination,
+            t,
+            t_end=t_end,
         )
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise RequestValidationError(
-                f"body field {name!r} must contain only integers, "
-                f"got {item!r}",
-                field=name,
-            )
-    return value
+        if key is not None:
+            hit = cache.get(key)
+            if hit is not None:
+                return hit
+        result = run(lambda: planner.plan(request))
+        if request.query_type == "profile":
+            body = {"pairs": [list(pair) for pair in result.pairs]}
+        else:
+            journey = result.journey
+            body = {"journey": journey.to_dict() if journey else None}
+        if key is not None:
+            # ``static_ok`` marks answers that are pure functions of
+            # the sealed index — the live engine's fast path — which
+            # invalidation sweeps may re-key across generations
+            # after certifying them against the new patch.
+            static_ok = live is None or live.last_query_fast_path
+            cache.put(key, body, static_ok=static_ok, t_end=t_end)
+        return body
 
+    def point(kind: str):
+        return lambda request: plan_body(
+            *api.point_query(kind, request.params)
+        )
 
-def _batch_result_body(query: BatchQuery, answer) -> dict:
-    """Shape one :func:`~repro.core.batch.batch_plan` answer into the
-    historical ``/v1/batch`` response body for its kind."""
-    if query.kind == "one_to_many":
-        return {
-            "kind": query.kind,
-            "source": query.sources[0],
-            "t": query.t,
-            "arrivals": answer,
+    def healthz(request: Request) -> dict:
+        body = {
+            "status": "ok",
+            "planner": planner.name,
+            "stations": graph.n,
+            "live": live is not None,
+            "ready": service._ready.is_set(),
+            "preprocess_seconds": planner.preprocess_seconds,
         }
-    if query.kind == "matrix":
-        matrix: Dict[int, Dict[int, Optional[int]]] = {}
-        for (source, target), arr in answer.items():
-            matrix.setdefault(source, {})[target] = arr
-        return {"kind": query.kind, "t": query.t, "matrix": matrix}
-    return {
-        "kind": query.kind,
-        "source": query.sources[0],
-        "t": query.t,
-        "budget": query.budget,
-        "stations": answer,
+        build = build_progress()
+        if build is not None:
+            body["build"] = build
+        if live is not None:
+            with lock:
+                body["now"] = live.now
+                body["generation"] = live.generation
+                body["live_generation"] = live.generation
+                body["events"] = len(live.events())
+        follower = service.journal_follower
+        if follower is not None:
+            journal_body = follower.snapshot()
+            journal_body["role"] = "follower"
+            journal_body["skipped"] = service.journal_skipped
+            body["journal"] = journal_body
+        elif service.journal is not None:
+            journal_body = service.journal.snapshot()
+            journal_body["role"] = "writer"
+            body["journal"] = journal_body
+        if scoreboard is not None:
+            body["worker"] = service.worker_id
+            body["workers"] = scoreboard.workers()
+        return body
+
+    def healthz_ready(request: Request) -> dict:
+        require_ready()
+        if executor.admission.shedding:
+            raise ServiceNotReady(
+                "shedding load (admission gate saturated)",
+                retry_after=config.retry_after_s,
+            )
+        return {"ready": True}
+
+    def resilience(request: Request) -> dict:
+        body = executor.snapshot()
+        if cache is not None:
+            body["cache"] = cache.snapshot()
+        return body
+
+    def metrics(request: Request) -> dict:
+        body = {"planner": planner.name}
+        query_metrics = getattr(planner, "metrics", None)
+        with lock:
+            if query_metrics is not None:
+                body["query_metrics"] = query_metrics.snapshot()
+            if service._ready.is_set():
+                index = getattr(planner, "index", None)
+                if index is not None:
+                    body["index"] = {
+                        "num_labels": index.num_labels,
+                        "unfold_fallbacks": index.unfold_fallbacks,
+                        "store_bytes": index.store_bytes(),
+                    }
+        body["resilience"] = executor.snapshot()
+        if live is not None:
+            body["live"] = {
+                "generation": live.generation,
+                "now": live.now,
+                "journal_seq": service.journal_seq(),
+            }
+        if cache is not None:
+            body["cache"] = cache.snapshot()
+        if scoreboard is not None:
+            # Fold this worker's very latest counters in before
+            # aggregating, then sum live rows + retired totals from
+            # shared memory — the cluster-wide view any single worker
+            # can serve.
+            service.publish_counters()
+            body["cluster"] = {
+                "worker": service.worker_id,
+                "workers": scoreboard.workers(),
+                "totals": scoreboard.totals(),
+            }
+        return body
+
+    def live_events(request: Request) -> dict:
+        require_live()
+        with lock:
+            events = live.events()
+        return {
+            "events": [
+                {"id": eid, "event": event.to_dict()} for eid, event in events
+            ]
+        }
+
+    def live_stats(request: Request) -> dict:
+        require_live()
+        with lock:
+            body = live.stats.snapshot()
+            body["generation"] = live.generation
+            body["now"] = live.now
+            body["feed_skipped"] = live.feed_skipped
+        return body
+
+    def batch(request: Request) -> dict:
+        """``POST /v1/batch`` — batched accessibility queries."""
+        body = request.json_body()
+        index = getattr(planner, "index", None)
+        if index is None:
+            raise ValueError(
+                f"{planner.name} does not expose a TTL index; "
+                "batch queries need one"
+            )
+        key = None
+        t_raw = body.get("t")
+        if (
+            cache is not None
+            and isinstance(t_raw, int)
+            and not isinstance(t_raw, bool)
+        ):
+            # The canonical body is the key; origin/destination are
+            # sentinels (a batch spans many pairs, so invalidation
+            # cannot certify it per-pair — static_ok=False below
+            # makes any generation bump evict it).
+            key = cache_key(
+                "batch",
+                -1,
+                -1,
+                t_raw,
+                extra=(json.dumps(body, sort_keys=True),),
+            )
+            hit = cache.get(key)
+            if hit is not None:
+                return hit
+        query = api.batch_query(body, graph.n, config.max_batch_pairs)
+        if live is None:
+            answer = run(lambda: batch_plan(index, [query])[0])
+        else:
+            # The sealed index knows nothing of live events: search
+            # the overlay instead, one search per source.
+            answer = run(lambda: batch_search(live.overlay, [query])[0])
+        result = api.batch_body(query, answer)
+        if key is not None:
+            cache.put(key, result, static_ok=False)
+        return result
+
+    def mutation(apply):
+        """A live-mutation route: ``apply(body)`` runs under the lock
+        and returns the answer plus the journal record replaying it."""
+
+        def route(request: Request) -> dict:
+            body = request.json_body()
+            require_live()
+            require_ready()
+            require_writer(request.path)
+            with lock:
+                result, record = apply(body)
+                service.revalidate_cache()
+                if service.journal is not None:
+                    # Appended once applied, under the lock: journal
+                    # order is apply order.
+                    result["seq"] = service.journal.append(record)
+            return result
+
+        return route
+
+    def apply_event(body: dict):
+        event = event_from_dict(body)
+        event_id = live.apply_event(event)
+        return (
+            {"id": event_id, "generation": live.generation},
+            {"op": "apply_event", "id": event_id, "event": event.to_dict()},
+        )
+
+    def advance(body: dict):
+        now = api.int_field(body, "now")
+        if now < live.now:
+            raise RequestValidationError(
+                f"'now' must not move backwards: {now} < "
+                f"current live clock {live.now}",
+                field="now",
+                hint="the live clock is monotonic; POST a value >= the "
+                "current clock (see GET /v1/live/stats)",
+            )
+        live.advance_to(now)
+        return (
+            {"now": now, "events": len(live.events())},
+            {"op": "advance", "now": now},
+        )
+
+    def clear(body: dict):
+        if "id" in body:
+            event_id = api.int_field(body, "id")
+            live.clear_event(event_id)
+            return {"cleared": 1}, {"op": "clear", "id": event_id}
+        return {"cleared": live.clear_all()}, {"op": "clear_all"}
+
+    def seam(primitive):
+        """An internal ``POST /fed/*`` route: answered un-enveloped."""
+
+        def route(request: Request) -> Response:
+            body = request.json_body()
+            require_ready()
+            with lock:
+                return json_response(200, primitive(body))
+
+        return route
+
+    routes: api.Routes = {
+        ("GET", "/v1/healthz"): healthz,
+        ("GET", "/v1/healthz/live"): lambda request: {"status": "alive"},
+        ("GET", "/v1/healthz/ready"): healthz_ready,
+        ("GET", "/v1/resilience"): resilience,
+        ("GET", "/v1/metrics"): metrics,
+        ("GET", "/v1/stations"): lambda request: api.stations(graph),
+        **{("GET", f"/v1/{kind}"): point(kind) for kind in QUERY_TYPES},
+        ("GET", "/v1/live/events"): live_events,
+        ("GET", "/v1/live/stats"): live_stats,
+        ("POST", "/v1/batch"): batch,
+        ("POST", "/v1/live/events"): mutation(apply_event),
+        ("POST", "/v1/live/advance"): mutation(advance),
+        ("POST", "/v1/live/clear"): mutation(clear),
     }
+    if service.fed is not None:
+        for name, primitive in service.fed.primitives.items():
+            routes["POST", f"/fed{name}"] = seam(primitive)
+
+    def on_error(exc: Exception) -> Response:
+        build = (
+            build_progress() if isinstance(exc, ServiceNotReady) else None
+        )
+        return error_response(
+            exc, extra=None if build is None else {"build": build}
+        )
+
+    def handle(request: Request) -> Response:
+        service.requests_handled += 1
+        return api.dispatch(routes, request, service.worker_id, on_error)
+
+    return handle

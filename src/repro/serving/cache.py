@@ -156,11 +156,7 @@ class AnswerCache:
     # ------------------------------------------------------------------
 
     def get(self, key: CacheKey) -> Optional[dict]:
-        """The cached payload (a fresh top-level copy) or ``None``.
-
-        The copy matters: a legacy live answer gains a ``degraded`` key
-        on its way out, which must not corrode the stored entry.
-        """
+        """The cached payload or ``None``; callers only serialize it."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -168,7 +164,7 @@ class AnswerCache:
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            return dict(entry.payload)
+            return entry.payload
 
     def put(
         self,

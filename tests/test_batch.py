@@ -1,8 +1,6 @@
 """Tests for batched label queries (one-to-many / matrix / isochrone).
 
-Everything routes through :func:`repro.core.batch.batch_plan`; the
-three legacy entry points are pinned to delegate with a
-``DeprecationWarning``.
+Everything routes through :func:`repro.core.batch.batch_plan`.
 """
 
 import os
@@ -11,7 +9,7 @@ from unittest import mock
 import pytest
 
 from repro.algorithms.temporal_dijkstra import earliest_arrival_search
-from repro.core.batch import batch_plan, eat_matrix, isochrone, one_to_many_eat
+from repro.core.batch import batch_plan
 from repro.core.build import build_index
 from repro.errors import QueryError
 from repro.query import BatchQuery
@@ -188,17 +186,3 @@ class TestBatchPlan:
             batch_plan(
                 index, [BatchQuery(kind="nope", sources=(0,), t=0)]
             )
-
-
-class TestLegacyEntryPoints:
-    def test_delegate_with_deprecation_warning(self, setting):
-        graph, index, _ = setting
-        with pytest.deprecated_call():
-            legacy = one_to_many_eat(index, 0, [1, 2], 50)
-        assert legacy == one_to_many(index, 0, [1, 2], 50)
-        with pytest.deprecated_call():
-            legacy = eat_matrix(index, [0], [1], 50)
-        assert legacy[(0, 1)] == one_to_many(index, 0, [1], 50)[1]
-        with pytest.deprecated_call():
-            legacy = isochrone(index, 0, 50, 300)
-        assert legacy == iso(index, 0, 50, 300)

@@ -30,14 +30,15 @@ SlowTTL = SlowPlanner.of(TTLPlanner)
 
 
 def fetch(port, path):
-    """GET that never raises on HTTP errors: (status, headers, body)."""
+    """GET ``/v1{path}``, never raising on HTTP errors: (status,
+    headers, the ``data`` of a 200 or the error body)."""
     try:
         with urllib.request.urlopen(
-            f"http://127.0.0.1:{port}{path}", timeout=10
+            f"http://127.0.0.1:{port}/v1{path}", timeout=10
         ) as response:
             return response.status, dict(response.headers), json.loads(
                 response.read()
-            )
+            )["data"]
     except urllib.error.HTTPError as err:
         return err.code, dict(err.headers), json.loads(err.read())
 

@@ -13,8 +13,13 @@
 
       PYTHONPATH=<parent checkout>/src python tests/test_http_transport.py
 
-  One cell is not the parent's: the parent's router had no body cap, so
-  its 413 row is the worker's (see ``capture``).
+  Cells that are not that commit's: the router's 413 is the worker's
+  (that router had no body cap; see ``capture``); the unversioned
+  ``legacy`` / ``legacy_cross`` requests answer the 404 of any unknown
+  path on every target, since only ``/v1`` is served; and the router's
+  ``bad_batch_kind`` carries the workers' hint, as it parses batches
+  with their parser.
+* The same 400 from every target for malformed ``/v1/batch`` bodies.
 """
 
 import contextlib
@@ -292,6 +297,9 @@ CROSS = "from=2&to=63"  # region 0 -> region 1
 WINDOW = f"t={T}&t_end={T + 7200}"
 BATCH = {"kind": "one_to_many", "source": 0, "targets": [3, 40, 63], "t": T}
 TOO_LARGE = b" " * (1 << 20) + b"{}"
+#: The batch pair cap of every target: above BATCH's three targets,
+#: below TwinCities' 66 stations, so any isochrone is over it.
+BATCH_CAP = 50
 
 #: name -> (method, path, body)
 REQUESTS = {
@@ -318,10 +326,9 @@ REQUESTS = {
 TARGETS = ("standalone", "worker", "router")
 
 
-def exchange(port, name):
+def exchange(port, method, path, body):
     """Status, the four headers and the body text of one answer, with
     ``meta.elapsed_us`` (and so its digits in Content-Length) masked."""
-    method, path, body = REQUESTS[name]
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
     try:
         conn.request(method, path, body=body)
@@ -356,10 +363,15 @@ def running_targets(out, router_heartbeat_s):
     index = build_index(graph)
     small = load_dataset("Austin", scale=0.4)
     build_federation(graph, region_map_from_names(graph), out)
-    standalone = PlannerService(TTLPlanner(graph, index=index))
+    capped = ResilienceConfig(max_batch_pairs=BATCH_CAP)
+    standalone = PlannerService(
+        TTLPlanner(graph, index=index), resilience=capped
+    )
     warming = PlannerService(Warming(small))
     prefork = ServingSupervisor(
-        lambda: TTLPlanner(graph, index=index), workers=1
+        lambda: TTLPlanner(graph, index=index),
+        workers=1,
+        resilience=capped,
     )
     warming_prefork = ServingSupervisor(
         lambda: Warming(small), workers=1, warm=False
@@ -367,6 +379,7 @@ def running_targets(out, router_heartbeat_s):
     router = FederationSupervisor(
         graph,
         os.path.join(out, "federation.json"),
+        resilience=capped,
         heartbeat_interval_s=router_heartbeat_s,
     )
     started = []
@@ -401,10 +414,10 @@ def ports(tmp_path_factory):
 def ask(ports, target, name):
     ready, warming = ports[target]
     if name != "warming":
-        return exchange(ready, name)
+        return exchange(ready, *REQUESTS[name])
     if target == "router":
         ports["retire"]()
-    return exchange(warming, name)
+    return exchange(warming, *REQUESTS[name])
 
 
 class TestResponseIdentity:
@@ -414,6 +427,41 @@ class TestResponseIdentity:
         with open(EXPECTED_PATH) as handle:
             expected = json.load(handle)
         assert ask(ports, target, name) == expected[target][name]
+
+
+#: Malformed ``/v1/batch`` bodies, each rejected before any answering.
+BAD_BATCHES = {
+    "bad kind": {"kind": "nope", "t": T},
+    "t missing": {"kind": "one_to_many", "source": 0, "targets": [3]},
+    "targets not a list": {
+        "kind": "one_to_many", "source": 0, "targets": 3, "t": T,
+    },
+    "true in targets": {
+        "kind": "one_to_many", "source": 0, "targets": [3, True], "t": T,
+    },
+    "one_to_many over the cap": {
+        "kind": "one_to_many",
+        "source": 0,
+        "targets": list(range(BATCH_CAP + 1)),
+        "t": T,
+    },
+    "isochrone over the cap": {
+        "kind": "isochrone", "source": 0, "t": T, "budget": 3600,
+    },
+}
+
+
+class TestMalformedBatch:
+    @pytest.mark.parametrize("case", sorted(BAD_BATCHES))
+    def test_same_400_from_every_target(self, ports, case):
+        body = json.dumps(BAD_BATCHES[case]).encode()
+        answers = [
+            exchange(ports[target][0], "POST", "/v1/batch", body)
+            for target in TARGETS
+        ]
+        assert answers[0]["status"] == 400
+        assert set(json.loads(answers[0]["body"])) == ERROR_KEYS
+        assert answers == answers[:1] * len(TARGETS)
 
 
 def capture():

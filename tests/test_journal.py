@@ -37,21 +37,28 @@ from tests.conftest import SlowPlanner, make_random_route_graph
 
 
 def get(port, path):
+    """GET ``/v1{path}``: (status, data)."""
     with urllib.request.urlopen(
-        f"http://127.0.0.1:{port}{path}", timeout=10
+        f"http://127.0.0.1:{port}/v1{path}", timeout=10
     ) as response:
-        return response.status, json.loads(response.read())
+        return response.status, json.loads(response.read())["data"]
 
 
-def post(port, path, body):
+def post_url(url, body):
+    """POST ``body`` to ``url``: (status, data)."""
     request = urllib.request.Request(
-        f"http://127.0.0.1:{port}{path}",
+        url,
         data=json.dumps(body).encode(),
         headers={"Content-Type": "application/json"},
         method="POST",
     )
     with urllib.request.urlopen(request, timeout=10) as response:
-        return response.status, json.loads(response.read())
+        return response.status, json.loads(response.read())["data"]
+
+
+def post(port, path, body):
+    """POST ``body`` to ``/v1{path}``: (status, data)."""
+    return post_url(f"http://127.0.0.1:{port}/v1{path}", body)
 
 
 def delay_event(trip_id, delay=60, expires_at=None):
@@ -390,11 +397,14 @@ class TestLiveCluster:
         assert err.value.code == 409
         body = json.loads(err.value.read())
         assert "coordinated" in body["error"]
-        assert supervisor.coordinator_url in body["hint"]
-        # /v1 surface answers identically.
-        with pytest.raises(urllib.error.HTTPError) as err:
-            post(port, "/v1/live/clear", {})
-        assert err.value.code == 409
+        # The hint names the coordinated path, and that path applies
+        # the mutation.
+        url = f"{supervisor.coordinator_url}/v1/live/events"
+        assert url in body["hint"]
+        status, applied = post_url(url, delay_event(trip))
+        assert status == 200
+        assert applied["seq"] == supervisor.journal.seq
+        wait_converged(supervisor)
 
     def test_event_fans_out_to_all_workers(self, live_cluster):
         graph, supervisor, port = live_cluster
@@ -493,7 +503,7 @@ class TestLiveCluster:
         supervisor.wait_ready(timeout_s=30)
         wait_converged(supervisor)
         assert supervisor.respawns >= 2
-        status, _ = get(port, "/v1/eap?from=0&to=3&t=0")
+        status, _ = get(port, "/eap?from=0&to=3&t=0")
         assert status == 200
 
     def test_clear_all_fans_out(self, live_cluster):
@@ -582,7 +592,7 @@ class TestGracefulDrain:
         def fire(i):
             try:
                 status, _ = get(
-                    port, f"/v1/eap?from={i % graph.n}"
+                    port, f"/eap?from={i % graph.n}"
                     f"&to={(i + 3) % graph.n}&t=0"
                 )
                 outcome = status

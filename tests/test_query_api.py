@@ -161,7 +161,7 @@ class TestCapabilityError:
         try:
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(
-                    f"http://127.0.0.1:{port}/profile"
+                    f"http://127.0.0.1:{port}/v1/profile"
                     "?from=0&to=1&t=0&t_end=100",
                     timeout=10,
                 )

@@ -22,22 +22,33 @@ def service(request):
     return graph, port
 
 
+def envelope(port, path, body=None):
+    """Request ``/v1{path}``, a POST of ``body`` when given; returns
+    (status, the whole envelope, headers)."""
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{port}/v1{path}",
+        data=None if body is None else json.dumps(body).encode(),
+        headers={"Content-Type": "application/json"},
+        method="GET" if body is None else "POST",
+    )
+    with urllib.request.urlopen(request, timeout=10) as response:
+        return (
+            response.status,
+            json.loads(response.read()),
+            dict(response.headers),
+        )
+
+
 def get(port, path):
-    with urllib.request.urlopen(
-        f"http://127.0.0.1:{port}{path}", timeout=10
-    ) as response:
-        return response.status, json.loads(response.read())
+    """GET ``/v1{path}``: (status, data)."""
+    status, body, _ = envelope(port, path)
+    return status, body["data"]
 
 
 def post(port, path, body):
-    request = urllib.request.Request(
-        f"http://127.0.0.1:{port}{path}",
-        data=json.dumps(body).encode(),
-        headers={"Content-Type": "application/json"},
-        method="POST",
-    )
-    with urllib.request.urlopen(request, timeout=10) as response:
-        return response.status, json.loads(response.read())
+    """POST ``body`` to ``/v1{path}``: (status, data)."""
+    status, answer, _ = envelope(port, path, body)
+    return status, answer["data"]
 
 
 class TestEndpoints:
@@ -185,7 +196,7 @@ class TestErrors:
         """The base handler's HTML error page must not leak through."""
         _, port = service
         request = urllib.request.Request(
-            f"http://127.0.0.1:{port}/stations", method="DELETE"
+            f"http://127.0.0.1:{port}/v1/stations", method="DELETE"
         )
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request, timeout=10)
@@ -241,7 +252,7 @@ class TestInputHardening:
     def test_malformed_json_body_400(self, service):
         _, port = service
         request = urllib.request.Request(
-            f"http://127.0.0.1:{port}/live/events",
+            f"http://127.0.0.1:{port}/v1/live/events",
             data=b"{not json",
             headers={"Content-Type": "application/json"},
             method="POST",
@@ -254,7 +265,7 @@ class TestInputHardening:
     def test_non_object_json_body_400(self, service):
         _, port = service
         request = urllib.request.Request(
-            f"http://127.0.0.1:{port}/live/events",
+            f"http://127.0.0.1:{port}/v1/live/events",
             data=b"[1, 2, 3]",
             headers={"Content-Type": "application/json"},
             method="POST",
@@ -269,7 +280,7 @@ class TestInputHardening:
         _, port = service
         huge = b"x" * (ResilienceConfig().max_body_bytes + 1)
         request = urllib.request.Request(
-            f"http://127.0.0.1:{port}/live/events",
+            f"http://127.0.0.1:{port}/v1/live/events",
             data=huge,
             headers={"Content-Type": "application/json"},
             method="POST",
@@ -443,7 +454,7 @@ class TestLiveCoordination:
                 assert err.value.code == 409, path
                 payload = json.loads(err.value.read())
                 assert "coordinated" in payload["error"]
-                assert f"http://127.0.0.1:9999{path}" in payload["hint"]
+                assert f"http://127.0.0.1:9999/v1{path}" in payload["hint"]
             # Reads still answer locally.
             status, _ = get(port, "/live/events")
             assert status == 200
@@ -491,7 +502,7 @@ class TestBackgroundBuildReadiness:
         try:
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(
-                    f"http://127.0.0.1:{port}/healthz/ready", timeout=10
+                    f"http://127.0.0.1:{port}/v1/healthz/ready", timeout=10
                 )
             assert err.value.code == 503
             assert err.value.headers["Retry-After"]
@@ -518,21 +529,20 @@ class TestBackgroundBuildReadiness:
             svc.stop()
 
 
-def get_with_headers(port, path):
-    with urllib.request.urlopen(
-        f"http://127.0.0.1:{port}{path}", timeout=10
-    ) as response:
-        return (
-            response.status,
-            json.loads(response.read()),
-            dict(response.headers),
-        )
+def bare(port, path, body=None):
+    """Request ``path`` as given, without the ``/v1`` prefix."""
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{port}{path}",
+        data=None if body is None else json.dumps(body).encode(),
+        method="GET" if body is None else "POST",
+    )
+    return urllib.request.urlopen(request, timeout=10)
 
 
 class TestV1Envelope:
     def test_eap_wrapped_in_envelope(self, service):
         graph, port = service
-        status, body = get(port, "/v1/eap?from=0&to=1&t=0")
+        status, body, _ = envelope(port, "/eap?from=0&to=1&t=0")
         assert status == 200
         assert set(body) == {"data", "meta"}
         assert "journey" in body["data"]
@@ -541,49 +551,56 @@ class TestV1Envelope:
         assert meta["degraded"] is False
         assert meta["worker"] == 0
 
-    def test_v1_matches_legacy_answer(self, service):
-        graph, port = service
-        for u in range(graph.n):
-            _, legacy = get(port, f"/eap?from=0&to={u}&t=0")
-            _, versioned = get(port, f"/v1/eap?from=0&to={u}&t=0")
-            assert versioned["data"]["journey"] == legacy["journey"]
-
     def test_all_get_endpoints_enveloped(self, service):
         _, port = service
         for path in (
-            "/v1/stations",
-            "/v1/healthz",
-            "/v1/healthz/ready",
-            "/v1/metrics",
-            "/v1/resilience",
-            "/v1/sdp?from=0&to=1&t=0&t_end=500",
-            "/v1/profile?from=0&to=1&t=0&t_end=500",
+            "/stations",
+            "/healthz",
+            "/healthz/ready",
+            "/metrics",
+            "/resilience",
+            "/sdp?from=0&to=1&t=0&t_end=500",
+            "/profile?from=0&to=1&t=0&t_end=500",
         ):
-            status, body = get(port, path)
+            status, body, _ = envelope(port, path)
             assert status == 200, path
             assert set(body) == {"data", "meta"}, path
 
-    def test_legacy_paths_carry_deprecation_header(self, service):
-        _, port = service
-        _, _, headers = get_with_headers(port, "/eap?from=0&to=1&t=0")
-        assert headers.get("Deprecation") == "true"
-        _, _, headers = get_with_headers(port, "/stations")
-        assert headers.get("Deprecation") == "true"
-
     def test_v1_and_health_probes_not_deprecated(self, service):
         _, port = service
-        _, _, headers = get_with_headers(port, "/v1/eap?from=0&to=1&t=0")
-        assert "Deprecation" not in headers
-        # Infrastructure probes (k8s etc.) are config, not client code;
-        # nagging them would only pollute logs.
-        _, _, headers = get_with_headers(port, "/healthz/live")
-        assert "Deprecation" not in headers
+        for path in ("/eap?from=0&to=1&t=0", "/healthz/live"):
+            _, _, headers = envelope(port, path)
+            assert "Deprecation" not in headers, path
 
     def test_unknown_v1_path_404(self, service):
         _, port = service
         with pytest.raises(urllib.error.HTTPError) as err:
-            get(port, "/v1/teleport")
+            get(port, "/teleport")
         assert err.value.code == 404
+
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/eap?from=0&to=1&t=0", None),
+            ("/stations", None),
+            ("/healthz", None),
+            ("/healthz/live", None),
+            ("/metrics", None),
+            ("/live/stats", None),
+            ("/live/events", {"kind": "cancel", "trip_id": 0}),
+        ],
+    )
+    def test_unversioned_paths_404(self, service, path, body):
+        _, port = service
+        with pytest.raises(urllib.error.HTTPError) as err:
+            bare(port, path, body)
+        assert err.value.code == 404
+        assert "Deprecation" not in err.value.headers
+        assert json.loads(err.value.read()) == {
+            "error": f"unknown path: {path}",
+            "field": None,
+            "hint": None,
+        }
 
 
 class TestOneErrorShape:
@@ -597,7 +614,7 @@ class TestOneErrorShape:
     def test_validation_error_with_field(self, service):
         _, port = service
         with pytest.raises(urllib.error.HTTPError) as err:
-            get(port, "/v1/eap?from=0&to=1")
+            get(port, "/eap?from=0&to=1")
         assert err.value.code == 400
         body = self._assert_shape(err.value)
         assert body["field"] == "t"
@@ -605,7 +622,7 @@ class TestOneErrorShape:
     def test_query_error_null_field(self, service):
         _, port = service
         with pytest.raises(urllib.error.HTTPError) as err:
-            get(port, "/v1/eap?from=9999&to=0&t=0")
+            get(port, "/eap?from=9999&to=0&t=0")
         assert err.value.code == 400
         body = self._assert_shape(err.value)
         assert body["field"] is None
@@ -616,16 +633,6 @@ class TestOneErrorShape:
         with pytest.raises(urllib.error.HTTPError) as err:
             get(port, "/nope")
         self._assert_shape(err.value)
-
-    def test_legacy_and_v1_errors_identical(self, service):
-        _, port = service
-        with pytest.raises(urllib.error.HTTPError) as legacy:
-            get(port, "/eap?from=0&to=1")
-        with pytest.raises(urllib.error.HTTPError) as versioned:
-            get(port, "/v1/eap?from=0&to=1")
-        assert json.loads(legacy.value.read()) == json.loads(
-            versioned.value.read()
-        )
 
     def test_batch_cap_hint(self, service):
         _, port = service
@@ -645,7 +652,7 @@ class TestOneErrorShape:
             with pytest.raises(urllib.error.HTTPError) as err:
                 post(
                     capped_port,
-                    "/v1/batch",
+                    "/batch",
                     {
                         "kind": "one_to_many",
                         "source": 0,
@@ -665,13 +672,12 @@ class TestBatchEndpoint:
     def test_one_to_many(self, service):
         graph, port = service
         targets = list(range(graph.n))
-        status, body = post(
+        status, data = post(
             port,
-            "/v1/batch",
+            "/batch",
             {"kind": "one_to_many", "source": 0, "targets": targets, "t": 0},
         )
         assert status == 200
-        data = body["data"]
         assert data["kind"] == "one_to_many"
         arrivals = data["arrivals"]
         assert len(arrivals) == graph.n
@@ -686,25 +692,24 @@ class TestBatchEndpoint:
 
     def test_matrix(self, service):
         graph, port = service
-        status, body = post(
+        status, data = post(
             port,
-            "/v1/batch",
+            "/batch",
             {"kind": "matrix", "sources": [0, 1], "targets": [2, 3], "t": 0},
         )
         assert status == 200
-        matrix = body["data"]["matrix"]
+        matrix = data["matrix"]
         assert set(matrix) == {"0", "1"}
         assert set(matrix["0"]) == {"2", "3"}
 
     def test_isochrone(self, service):
         graph, port = service
-        status, body = post(
+        status, data = post(
             port,
-            "/v1/batch",
+            "/batch",
             {"kind": "isochrone", "source": 0, "t": 0, "budget": 100},
         )
         assert status == 200
-        data = body["data"]
         assert 0 in data["stations"]
         planner = TTLPlanner(graph)
         for v in data["stations"]:
@@ -716,7 +721,7 @@ class TestBatchEndpoint:
     def test_bad_kind_400(self, service):
         _, port = service
         with pytest.raises(urllib.error.HTTPError) as err:
-            post(port, "/v1/batch", {"kind": "teleport", "t": 0})
+            post(port, "/batch", {"kind": "teleport", "t": 0})
         assert err.value.code == 400
         assert json.loads(err.value.read())["field"] == "kind"
 
@@ -725,7 +730,7 @@ class TestBatchEndpoint:
         with pytest.raises(urllib.error.HTTPError) as err:
             post(
                 port,
-                "/v1/batch",
+                "/batch",
                 {"kind": "one_to_many", "source": 0, "targets": ["x"], "t": 0},
             )
         assert err.value.code == 400
@@ -734,7 +739,7 @@ class TestBatchEndpoint:
     def test_batch_is_v1_only(self, service):
         _, port = service
         with pytest.raises(urllib.error.HTTPError) as err:
-            post(
+            bare(
                 port,
                 "/batch",
                 {"kind": "one_to_many", "source": 0, "targets": [1], "t": 0},
@@ -791,7 +796,7 @@ class TestLiveBatch:
         try:
             def ask():
                 return {
-                    kind: post(port, "/v1/batch", body)[1]["data"]
+                    kind: post(port, "/batch", body)[1]
                     for kind, body in requests.items()
                 }
 

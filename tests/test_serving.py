@@ -20,22 +20,30 @@ from repro.serving import COUNTER_FIELDS, Scoreboard, ServingSupervisor
 from tests.conftest import make_random_route_graph
 
 
-def get(port, path):
+def envelope(port, path):
+    """GET ``/v1{path}``: (status, the whole envelope)."""
     with urllib.request.urlopen(
-        f"http://127.0.0.1:{port}{path}", timeout=10
+        f"http://127.0.0.1:{port}/v1{path}", timeout=10
     ) as response:
         return response.status, json.loads(response.read())
 
 
+def get(port, path):
+    """GET ``/v1{path}``: (status, data)."""
+    status, body = envelope(port, path)
+    return status, body["data"]
+
+
 def post(port, path, body):
+    """POST ``body`` to ``/v1{path}``: (status, data)."""
     request = urllib.request.Request(
-        f"http://127.0.0.1:{port}{path}",
+        f"http://127.0.0.1:{port}/v1{path}",
         data=json.dumps(body).encode(),
         headers={"Content-Type": "application/json"},
         method="POST",
     )
     with urllib.request.urlopen(request, timeout=10) as response:
-        return response.status, json.loads(response.read())
+        return response.status, json.loads(response.read())["data"]
 
 
 class TestScoreboard:
@@ -156,8 +164,8 @@ def cluster(request):
 class TestSupervisor:
     def test_both_workers_alive_in_healthz(self, cluster):
         _, supervisor, port = cluster
-        _, body = get(port, "/v1/healthz")
-        workers = body["data"]["workers"]
+        _, body = get(port, "/healthz")
+        workers = body["workers"]
         assert len(workers) == 2
         assert all(w["alive"] for w in workers)
         assert len(supervisor.worker_pids()) == 2
@@ -166,8 +174,8 @@ class TestSupervisor:
         graph, _, port = cluster
         seen = set()
         for i in range(40):
-            status, body = get(
-                port, f"/v1/eap?from={i % graph.n}&to={(i + 3) % graph.n}&t=0"
+            status, body = envelope(
+                port, f"/eap?from={i % graph.n}&to={(i + 3) % graph.n}&t=0"
             )
             assert status == 200
             seen.add(body["meta"]["worker"])
@@ -179,7 +187,7 @@ class TestSupervisor:
         graph, _, port = cluster
         status, body = post(
             port,
-            "/v1/batch",
+            "/batch",
             {
                 "kind": "one_to_many",
                 "source": 0,
@@ -188,7 +196,7 @@ class TestSupervisor:
             },
         )
         assert status == 200
-        assert len(body["data"]["arrivals"]) == graph.n
+        assert len(body["arrivals"]) == graph.n
 
     def test_metrics_aggregate_cluster(self, cluster):
         _, _, port = cluster
@@ -201,7 +209,7 @@ class TestSupervisor:
     def test_kill_respawn_and_monotonic_totals(self, cluster):
         graph, supervisor, port = cluster
         for i in range(10):
-            get(port, f"/v1/eap?from={i % graph.n}&to={(i + 1) % graph.n}&t=0")
+            get(port, f"/eap?from={i % graph.n}&to={(i + 1) % graph.n}&t=0")
         _, body = get(port, "/metrics")
         before = body["cluster"]["totals"]
 
@@ -220,7 +228,7 @@ class TestSupervisor:
         # backwards despite a worker's in-memory counters dying with it.
         for i in range(10):
             status, _ = get(
-                port, f"/v1/eap?from={i % graph.n}&to={(i + 2) % graph.n}&t=0"
+                port, f"/eap?from={i % graph.n}&to={(i + 2) % graph.n}&t=0"
             )
             assert status == 200
         _, body = get(port, "/metrics")
