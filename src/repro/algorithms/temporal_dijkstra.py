@@ -3,8 +3,9 @@
 The paper's Section 1 baseline: Dijkstra's algorithm adapted to
 timetable graphs.  The forward search settles nodes in order of
 earliest arrival time (EAT); once a node is settled its EAT is final,
-so each node's outgoing connections are scanned exactly once from the
-first boardable one — total cost ``O(m log n)``.
+so each node's outgoing edges are relaxed exactly once.  One ``bisect``
+into an edge timetable (``graph.out_edges``) finds the only connection
+of that edge that can improve its head.
 
 The backward search is the time-reversed mirror (latest departure
 times), and SDP is answered by sweeping the source's departure times,
@@ -19,6 +20,7 @@ reused by index construction and by tests as the correctness oracle.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from typing import Callable, List, Optional, Tuple
 
 from repro.graph.connection import Connection, Path
@@ -41,7 +43,6 @@ def earliest_arrival_search(
     t: int,
     target: Optional[int] = None,
     allowed: Optional[Callable[[int], bool]] = None,
-    min_transfer: int = 0,
 ) -> Tuple[List[int], List[Optional[Connection]]]:
     """One-to-all earliest arrival times from ``source`` departing
     no sooner than ``t``.
@@ -53,8 +54,6 @@ def earliest_arrival_search(
         target: optional early-termination station.
         allowed: optional node filter; stations for which it returns
             False are never entered (used by rank-restricted searches).
-        min_transfer: extra seconds required when changing vehicles
-            (0 reproduces the paper's model exactly).
 
     Returns:
         ``(eat, parent)`` where ``eat[v]`` is the earliest arrival time
@@ -65,16 +64,9 @@ def earliest_arrival_search(
     eat: List[int] = [INF] * n
     parent: List[Optional[Connection]] = [None] * n
     eat[source] = t
-    if min_transfer:
-        return _earliest_arrival_with_transfer(
-            graph, source, t, target, allowed, min_transfer, eat, parent
-        )
-
     settled = [False] * n
     heap: List[Tuple[int, int]] = [(t, source)]
-    out = graph.out
-    out_deps = graph.out_deps
-    from bisect import bisect_left
+    out_edges = graph.out_edges
 
     pops = 0
     while heap:
@@ -87,71 +79,19 @@ def earliest_arrival_search(
         settled[u] = True
         if u == target:
             break
-        conns = out[u]
-        for i in range(bisect_left(out_deps[u], arr_u), len(conns)):
-            c = conns[i]
-            v = c.v
+        # Per edge, only its earliest-arriving boardable connection
+        # can improve the head.
+        for v, deps, best in out_edges[u]:
+            i = bisect_left(deps, arr_u)
+            if i == len(deps):
+                continue
+            c = best[i]
             if c.arr < eat[v]:
                 if allowed is not None and not allowed(v):
                     continue
                 eat[v] = c.arr
                 parent[v] = c
                 heapq.heappush(heap, (c.arr, v))
-    return eat, parent
-
-
-def _earliest_arrival_with_transfer(
-    graph: TimetableGraph,
-    source: int,
-    t: int,
-    target: Optional[int],
-    allowed: Optional[Callable[[int], bool]],
-    min_transfer: int,
-    eat: List[int],
-    parent: List[Optional[Connection]],
-) -> Tuple[List[int], List[Optional[Connection]]]:
-    """Transfer-slack-aware variant (label-correcting).
-
-    With a positive transfer slack the plain node-settled Dijkstra is
-    no longer exact (arriving later on the *same* trip can beat
-    arriving earlier on a different trip), so we track, per station,
-    the best arrival per incoming trip and relax until fixpoint.
-    """
-    from bisect import bisect_left
-
-    # (arrival, station, trip arrived on) — trip None at the source.
-    heap: List[Tuple[int, int, int]] = [(t, source, -1)]
-    # Best known arrival at station per arriving trip.
-    best_by_trip: List[dict] = [dict() for _ in range(graph.n)]
-    best_by_trip[source][-1] = t
-    out = graph.out
-    out_deps = graph.out_deps
-
-    pops = 0
-    while heap:
-        pops += 1
-        if not pops % _DEADLINE_STRIDE:
-            check_deadline()
-        arr_u, u, trip = heapq.heappop(heap)
-        if arr_u > best_by_trip[u].get(trip, INF):
-            continue
-        if arr_u < eat[u]:
-            eat[u] = arr_u
-        conns = out[u]
-        start = bisect_left(out_deps[u], arr_u)
-        for i in range(start, len(conns)):
-            c = conns[i]
-            if c.trip != trip and trip != -1 and c.dep < arr_u + min_transfer:
-                continue
-            v = c.v
-            if allowed is not None and not allowed(v):
-                continue
-            prev = best_by_trip[v].get(c.trip, INF)
-            if c.arr < prev:
-                best_by_trip[v][c.trip] = c.arr
-                if c.arr < eat[v]:
-                    parent[v] = c
-                heapq.heappush(heap, (c.arr, v, c.trip))
     return eat, parent
 
 
@@ -177,9 +117,7 @@ def latest_departure_search(
     ldt[destination] = t
     settled = [False] * n
     heap: List[Tuple[int, int]] = [(-t, destination)]
-    inc = graph.inc
-    inc_arrs = graph.inc_arrs
-    from bisect import bisect_right
+    inc_edges = graph.inc_edges
 
     pops = 0
     while heap:
@@ -193,10 +131,11 @@ def latest_departure_search(
         if v == source:
             break
         dep_v = -neg_dep
-        conns = inc[v]
-        for i in range(bisect_right(inc_arrs[v], dep_v)):
-            c = conns[i]
-            u = c.u
+        for u, arrs, best in inc_edges[v]:
+            i = bisect_right(arrs, dep_v)
+            if not i:
+                continue
+            c = best[i - 1]
             if c.dep > ldt[u]:
                 if allowed is not None and not allowed(u):
                     continue

@@ -58,6 +58,7 @@ class BuildStats:
     forward_pops: int = 0
     backward_pops: int = 0
     cover_pruned: int = 0
+    #: Always 0 (dominance is enforced at push time); the footer stores it.
     dominance_pruned: int = 0
     dijkstra_runs: int = 0
     extra: Dict[str, float] = field(default_factory=dict)
@@ -197,8 +198,7 @@ class _Builder:
         graph = self.graph
         ranks = self.ranks
         rank_h = ranks[h]
-        out = graph.out
-        out_deps = graph.out_deps
+        out_edges = graph.out_edges
         in_groups = self.in_groups
         prune_in = self.prune_in
         out_map_h = self.prune_out[h]
@@ -217,15 +217,13 @@ class _Builder:
             heap: List = []
             # Seed only with connections departing exactly at t_d
             # (Observation 1 / Lemma 6): later departures were swept in
-            # earlier iterations.
-            conns_h = out[h]
-            k = bisect_left(out_deps[h], t_d)
-            while k < len(conns_h) and conns_h[k].dep == t_d:
-                c = conns_h[k]
-                k += 1
-                v = c.v
-                if ranks[v] <= rank_h:
+            # earlier iterations, so a later ``best[k]`` arrives no
+            # sooner than ``best_arr[v]`` and is skipped below.
+            for v, deps, best in out_edges[h]:
+                k = bisect_left(deps, t_d)
+                if ranks[v] <= rank_h or k == len(deps) or deps[k] != t_d:
                     continue
+                c = best[k]
                 if c.arr >= best_arr[v]:
                     continue
                 if stamp[v] != gen or c.arr < dist[v]:
@@ -238,9 +236,6 @@ class _Builder:
             while heap:
                 arr_v, v = heapq.heappop(heap)
                 if stamp[v] != gen or arr_v != dist[v]:
-                    continue
-                if arr_v >= best_arr[v]:
-                    stats.dominance_pruned += 1
                     continue
                 best_arr[v] = arr_v
                 stats.forward_pops += 1
@@ -260,12 +255,13 @@ class _Builder:
                     if pivot_v is None or ranks[v] < ranks[pivot_v]
                     else pivot_v
                 )
-                conns = out[v]
-                for idx in range(bisect_left(out_deps[v], arr_v), len(conns)):
-                    c = conns[idx]
-                    w = c.v
+                for w, deps, best in out_edges[v]:
                     if ranks[w] <= rank_h:
                         continue
+                    idx = bisect_left(deps, arr_v)
+                    if idx == len(deps):
+                        continue
+                    c = best[idx]
                     na = c.arr
                     if na >= best_arr[w]:
                         continue
@@ -292,8 +288,7 @@ class _Builder:
         graph = self.graph
         ranks = self.ranks
         rank_h = ranks[h]
-        inc = graph.inc
-        inc_arrs = graph.inc_arrs
+        inc_edges = graph.inc_edges
         out_groups = self.out_groups
         prune_out = self.prune_out
         in_map_h = self.prune_in[h]
@@ -310,14 +305,13 @@ class _Builder:
             gen = self._gen
             stats.dijkstra_runs += 1
             heap: List = []
-            conns_h = inc[h]
-            k = bisect_left(inc_arrs[h], t_a)
-            while k < len(conns_h) and conns_h[k].arr == t_a:
-                c = conns_h[k]
-                k += 1
-                x = c.u
-                if ranks[x] <= rank_h:
+            # Mirror of the forward seeding: an earlier ``best[k - 1]``
+            # departs no later than ``best_dep[x]``.
+            for x, arrs, best in inc_edges[h]:
+                k = bisect_right(arrs, t_a)
+                if ranks[x] <= rank_h or not k or arrs[k - 1] != t_a:
                     continue
+                c = best[k - 1]
                 if c.dep <= best_dep[x]:
                     continue
                 if stamp[x] != gen or c.dep > dist[x]:
@@ -331,9 +325,6 @@ class _Builder:
                 neg_dep, v = heapq.heappop(heap)
                 dep_v = -neg_dep
                 if stamp[v] != gen or dep_v != dist[v]:
-                    continue
-                if dep_v <= best_dep[v]:
-                    stats.dominance_pruned += 1
                     continue
                 best_dep[v] = dep_v
                 stats.backward_pops += 1
@@ -357,12 +348,13 @@ class _Builder:
                     if pivot_v is None or ranks[v] < ranks[pivot_v]
                     else pivot_v
                 )
-                conns = inc[v]
-                for idx in range(bisect_right(inc_arrs[v], dep_v)):
-                    c = conns[idx]
-                    x = c.u
+                for x, arrs, best in inc_edges[v]:
                     if ranks[x] <= rank_h:
                         continue
+                    idx = bisect_right(arrs, dep_v)
+                    if not idx:
+                        continue
+                    c = best[idx - 1]
                     nd = c.dep
                     if nd <= best_dep[x]:
                         continue

@@ -258,20 +258,20 @@ class LiveOverlayEngine(RoutePlanner):
         return count
 
     def advance_to(self, now: int) -> None:
-        """Move the engine clock forward, expiring events on the way."""
+        """Move the engine clock forward, expiring events on the way;
+        the overlay is swapped only if an event activates or expires."""
         with self._lock:
             if now < self._now:
                 raise LiveEventError(
                     f"clock cannot move backwards: {now} < {self._now}"
                 )
-            self._now = now
-            expired = [
-                eid for eid, e in self._events.items()
-                if e.expires_at <= now
-            ]
-            for eid in expired:
-                del self._events[eid]
-            if self._state is not None:
+            before, self._now = self._now, now
+            changed = False
+            for eid, e in list(self._events.items()):
+                changed = changed or e.active_at(before) != e.active_at(now)
+                if e.expires_at <= now:
+                    del self._events[eid]
+            if changed and self._state is not None:
                 self._rebuild()
 
     def events(self) -> List[Tuple[int, LiveEvent]]:

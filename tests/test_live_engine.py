@@ -131,6 +131,39 @@ class TestClock:
         assert engine.patch.is_empty()
         assert engine.events() == []  # expired events are dropped
 
+    def test_advance_without_activation_or_expiry_keeps_generation(
+        self, engine, route_graph
+    ):
+        trip_ids = sorted(route_graph.trips)[:2]
+        engine.apply_event(TripDelay(trip_id=trip_ids[0], delay=30))
+        engine.apply_event(
+            TripDelay(trip_id=trip_ids[1], delay=60, apply_at=500,
+                      expires_at=900)
+        )
+        generation, patch = engine.generation, engine.patch
+        for now in (10, 200, 499):
+            engine.advance_to(now)
+        assert engine.generation == generation
+        assert engine.patch is patch
+
+    def test_crossing_apply_or_expiry_bumps_generation(
+        self, engine, route_graph
+    ):
+        trip_id = sorted(route_graph.trips)[0]
+        engine.apply_event(
+            TripDelay(trip_id=trip_id, delay=60, apply_at=100,
+                      expires_at=200)
+        )
+        generation = engine.generation
+        engine.advance_to(100)  # activates
+        assert engine.generation == generation + 1
+        assert not engine.patch.is_empty()
+        engine.advance_to(199)
+        assert engine.generation == generation + 1
+        engine.advance_to(200)  # expires
+        assert engine.generation == generation + 2
+        assert engine.patch.is_empty()
+
     def test_clock_cannot_move_backwards(self, engine):
         engine.advance_to(100)
         with pytest.raises(LiveEventError):

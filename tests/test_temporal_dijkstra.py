@@ -188,32 +188,3 @@ class TestDijkstraPlanner:
         planner = DijkstraPlanner(line_graph)
         planner.preprocess()
         assert planner.index_bytes() == 0
-
-
-class TestTransferSlack:
-    def test_slack_blocks_tight_transfer(self):
-        from repro.graph.builders import graph_from_connections
-
-        graph = graph_from_connections(
-            [(0, 1, 0, 10), (1, 2, 10, 20), (1, 2, 30, 40)]
-        )
-        eat, _ = earliest_arrival_search(graph, 0, 0)
-        assert eat[2] == 20
-        # A 15s slack blocks the tight 10 -> 10 transfer but still
-        # allows boarding the 30 -> 40 trip.
-        eat, _ = earliest_arrival_search(graph, 0, 0, min_transfer=15)
-        assert eat[2] == 40
-        # A huge slack makes station 2 unreachable altogether.
-        eat, _ = earliest_arrival_search(graph, 0, 0, min_transfer=60)
-        assert eat[2] == INF
-
-    def test_same_trip_ignores_slack(self):
-        from repro.graph.builders import GraphBuilder
-
-        builder = GraphBuilder()
-        builder.add_stations(3)
-        route = builder.add_route([0, 1, 2])
-        builder.add_trip(route, [(0, 0), (10, 10), (20, 20)])
-        graph = builder.build()
-        eat, _ = earliest_arrival_search(graph, 0, 0, min_transfer=300)
-        assert eat[2] == 20
