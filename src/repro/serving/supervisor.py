@@ -37,6 +37,7 @@ here.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import signal
@@ -309,6 +310,9 @@ class ServingSupervisor:
             self.journal = None
 
     def _spawn(self, worker_id: int) -> None:
+        # A forked worker keeps every page the supervisor holds: collect
+        # first so it does not inherit unreachable cycles as resident RSS.
+        gc.collect()
         self._generation += 1
         proc = self._ctx.Process(
             target=worker_main,
